@@ -381,26 +381,19 @@ def _prefix_violations(
     return violations
 
 
-def validate_structure_so(
-    plan: SocialPlan,
+def _validate_structure(
+    capacities: Mapping[str, float],
     thetas: Mapping[str, float],
     scenarios: ScenarioSet,
-    atol: float | None = None,
+    atol: float | None,
+    boundary_class: bool,
 ) -> StructureReport:
-    """Check a planner solution against the three-class investment structure.
-
-    Investors must hold the lowest distinct storage costs; investors below
-    the boundary cost must size within their peak-demand support; users above
-    the boundary cost must hold nothing. Users whose lower peak support is
-    zero are exempt from the prefix requirement since extra capacity can be
-    worthless to them regardless of cost.
-    """
     atol = _support_atol(scenarios) if atol is None else atol
     violations = []
     invested = {}
     exempt = set()
     for e in scenarios.entities:
-        c = plan.capacities[e]
+        c = capacities[e]
         lo, hi = scenarios.peak_support(e)
         invested[e] = c > atol
         if lo <= atol:
@@ -412,19 +405,35 @@ def validate_structure_so(
     if investor_costs:
         boundary = investor_costs[-1]
         for e in scenarios.entities:
-            c = plan.capacities[e]
-            lo, hi = scenarios.peak_support(e)
-            if thetas[e] < boundary and e not in exempt and c < lo - atol:
-                violations.append(
-                    f"user {e}: non-boundary investor capacity {c} below "
-                    f"min peak support {lo}"
+            c = capacities[e]
+            lo = scenarios.peak_support(e)[0]
+            # A boundary class may size anywhere, so only costs below it count.
+            below = thetas[e] < boundary if boundary_class else thetas[e] <= boundary
+            if below and e not in exempt and c < lo - atol:
+                what = (
+                    "non-boundary investor capacity"
+                    if boundary_class
+                    else f"invested cost level {thetas[e]} but capacity"
                 )
-            if thetas[e] > boundary and c > atol:
-                violations.append(
-                    f"user {e}: cost {thetas[e]} above boundary {boundary} "
-                    f"but capacity {c} > 0"
-                )
+                violations.append(f"user {e}: {what} {c} below min peak support {lo}")
     return StructureReport(ok=not violations, violations=violations)
+
+
+def validate_structure_so(
+    plan: SocialPlan,
+    thetas: Mapping[str, float],
+    scenarios: ScenarioSet,
+    atol: float | None = None,
+) -> StructureReport:
+    """Check a planner solution against the three-class investment structure.
+
+    Investors must hold the lowest distinct storage costs; investors below
+    the boundary cost must size within their peak-demand support; users above
+    the boundary cost hold nothing by definition of the boundary. Users whose
+    lower peak support is zero are exempt from the prefix requirement since
+    extra capacity can be worthless to them regardless of cost.
+    """
+    return _validate_structure(plan.capacities, thetas, scenarios, atol, True)
 
 
 def validate_structure_pricing(
@@ -439,31 +448,8 @@ def validate_structure_pricing(
     class: every user at an invested cost level must size within its peak
     support (users with zero lower support exempt from the lower bound).
     """
-    atol = _support_atol(scenarios) if atol is None else atol
-    violations = []
-    invested = {}
-    exempt = set()
-    for e in scenarios.entities:
-        c = responses[e].capacity
-        lo, hi = scenarios.peak_support(e)
-        invested[e] = c > atol
-        if lo <= atol:
-            exempt.add(e)
-        if c > hi + atol:
-            violations.append(f"user {e}: capacity {c} above max peak support {hi}")
-    violations.extend(_prefix_violations(invested, thetas, exempt))
-    investor_costs = sorted({thetas[e] for e, inv in invested.items() if inv})
-    if investor_costs:
-        boundary = investor_costs[-1]
-        for e in scenarios.entities:
-            c = responses[e].capacity
-            lo, hi = scenarios.peak_support(e)
-            if thetas[e] <= boundary and e not in exempt and c < lo - atol:
-                violations.append(
-                    f"user {e}: invested cost level {thetas[e]} but capacity {c} "
-                    f"below min peak support {lo}"
-                )
-    return StructureReport(ok=not violations, violations=violations)
+    capacities = {e: r.capacity for e, r in responses.items()}
+    return _validate_structure(capacities, thetas, scenarios, atol, False)
 
 
 def tightness_instance(

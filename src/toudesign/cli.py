@@ -189,8 +189,6 @@ def _user_thetas(
 
 def _verify_grid(result: PricingResult, cfg, pricing_scen, pricing_specs, fraction) -> str | None:
     """Cross-check the threshold scan against a dense price grid."""
-    if pricing_scen.n_entities > 6 or pricing_scen.n_outcomes > 60:
-        raise InputError("instance too large for --verify-grid (max 6 entities, 60 outcomes)")
     hi = max(pd for _, pd, _ in result.trace) * 1.2 + 1.0
     grid = np.linspace(0.0, hi, 10_000)
     totals = social_cost_curve(
@@ -354,6 +352,16 @@ _KAPPA_HEADER = [
 ]
 
 
+# Sweep axis -> (user scenarios, `_optimize_one` overrides) at one grid value.
+_KAPPA_AXES = {
+    "theta_bar": lambda scen, v: (scen, {"theta_bar": v}),
+    "delta_s": lambda scen, v: (scen, {"delta_s": v}),
+    "delta_d": lambda scen, v: (adjust_variance(scen, v), {}),
+    "tau": lambda scen, v: (scen, {"tau": v}),
+    "eta": lambda scen, v: (scen, {"eta": v}),
+}
+
+
 def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int, axis: str) -> int:
     user_scenarios = cfg.load_user_scenarios(seed)
     groupings = cfg.groupings(user_scenarios.entities)
@@ -380,23 +388,14 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int, axis: str) -> int:
             for j, tb in enumerate(cfg.sweeps.theta_bar):
                 rows.append([float(pd), float(tb), float(lam[i, j])])
         _write_rows(path, ["p_delta", "theta_bar", "lambda"], rows)
-    elif axis in ("theta_bar", "delta_s", "delta_d", "tau", "eta"):
+    elif axis in _KAPPA_AXES:
         if not grid:
             raise InputError(f"sweeps.{axis} grid is empty")
         rows = []
         for value in grid:
             value = float(value)
-            if axis == "theta_bar":
-                runs = _sweep_point(cfg, user_scenarios, groupings, theta_bar=value)
-            elif axis == "delta_s":
-                runs = _sweep_point(cfg, user_scenarios, groupings, delta_s=value)
-            elif axis == "delta_d":
-                adjusted = adjust_variance(user_scenarios, value)
-                runs = _sweep_point(cfg, adjusted, groupings)
-            elif axis == "tau":
-                runs = _sweep_point(cfg, user_scenarios, groupings, tau=value)
-            else:
-                runs = _sweep_point(cfg, user_scenarios, groupings, eta=value)
+            scenarios, overrides = _KAPPA_AXES[axis](user_scenarios, value)
+            runs = _sweep_point(cfg, scenarios, groupings, **overrides)
             rows.append(_kappa_row(value, runs))
         _write_rows(path, [axis] + _KAPPA_HEADER, rows)
     elif axis == "elastic_fraction":
@@ -580,14 +579,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument(
         "--verify-grid",
         action="store_true",
-        help="cross-check the scan against a dense price grid (small instances)",
+        help="cross-check the scan against a dense price grid",
     )
     p_sweep = sub.add_parser("sweep", help="parameter sweeps with PT/PI/SO ratios")
     common(p_sweep)
     p_sweep.add_argument(
         "--axis",
         required=True,
-        choices=["theta_bar", "delta_s", "delta_d", "lambda", "tau", "eta", "elastic_fraction"],
+        choices=[*_KAPPA_AXES, "lambda", "elastic_fraction"],
     )
     p_bench = sub.add_parser("benchmark", help="planner benchmark and cost ratios")
     common(p_bench)

@@ -4,10 +4,13 @@ The social cost induced by storage best responses is piecewise constant in
 the peak/off-peak price difference, jumping only where some entity's optimal
 capacity jumps. The optimizer therefore collects every entity's candidate
 thresholds, evaluates the social cost a hair above each one and keeps the
-cheapest, which is exact for discrete demand distributions. Pricing can be
-driven by per-type aggregates (the realistic information set) or by per-user
-data; in the type-based scheme the reported cost always re-evaluates each
-individual user's response to the chosen tariff.
+cheapest, which is exact for discrete demand distributions. All candidates
+are evaluated at once by the vectorized `social_cost_curve`; the chosen
+tariff is then re-evaluated through the scalar `respond` + `social_cost`
+path, which supplies the reported responses and cost. Pricing can be driven
+by per-type aggregates (the realistic information set) or by per-user data;
+in the type-based scheme the reported cost re-evaluates each individual
+user's response to the chosen tariff.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .response import (
 )
 
 DEFAULT_EPSILON = 1e-6
+_CURVE_BLOCK = 1024  # price differences per block of social_cost_curve
 
 
 @dataclass(frozen=True)
@@ -123,28 +127,14 @@ def _scan(
     eps_used = _auto_epsilon(candidates) if eps is None else float(eps)
     if eps_used <= 0:
         raise InputError("epsilon must be > 0")
-    best = None
-    trace = []
-    for cand in candidates:
-        p_delta = float(cand) + eps_used
-        price = TouPrice(p_o + p_delta, p_o)
-        responses = {
-            entity: respond(
-                specs[entity],
-                price,
-                scenarios.probs,
-                scenarios.peak[:, j],
-                elastic_fraction * scenarios.peak[:, j],
-            )
-            for j, entity in enumerate(scenarios.entities)
-        }
-        sc = social_cost(
-            scenarios, specs, responses, periods, supply, check_feasibility=False
-        )
-        trace.append((p_o, p_delta, sc.total))
-        if best is None or sc.total < best[1]:
-            best = (p_delta, sc.total, responses)
-    return best, trace, len(candidates), eps_used
+    p_deltas = candidates + eps_used
+    totals = social_cost_curve(
+        scenarios, specs, periods, supply, p_deltas, p_o, elastic_fraction
+    )
+    trace = [(p_o, float(pd), float(t)) for pd, t in zip(p_deltas, totals)]
+    # argmin keeps the first minimum: ties go to the smaller price difference
+    best = int(np.argmin(totals))
+    return trace[best][1], trace[best][2], trace, len(candidates), eps_used
 
 
 def _user_realization(
@@ -188,6 +178,55 @@ def user_specs_from_grouping(
     return specs
 
 
+def _search(
+    pricing_scenarios: ScenarioSet,
+    pricing_specs: Mapping[str, StorageSpec],
+    user_scenarios: ScenarioSet | None,
+    grouping: Mapping[str, str] | None,
+    periods: PeriodStructure,
+    supply: SupplyCostParams,
+    p_o_grid,
+    eps: float | None,
+    elastic_fraction: float,
+) -> PricingResult:
+    """Threshold scan at every off-peak price of the grid; the first cheapest
+    (off-peak price, price difference) pair wins and is re-evaluated per user."""
+    if not 0.0 <= elastic_fraction <= 1.0:
+        raise InputError("elastic_fraction must be in [0, 1]")
+    if user_scenarios is not None and grouping is None:
+        raise InputError("a grouping is required with user scenarios")
+    best = None
+    trace: list[tuple[float, float, float]] = []
+    for p_o in p_o_grid:
+        p_delta, cost, scan_trace, n_candidates, eps_used = _scan(
+            pricing_scenarios, pricing_specs, periods, supply, p_o, elastic_fraction, eps
+        )
+        trace.extend(scan_trace)
+        if best is None or cost < best[2]:
+            best = (p_o, p_delta, cost, n_candidates, eps_used)
+    p_o, p_delta, scan_cost, n_candidates, eps_used = best
+    price = TouPrice(p_o + p_delta, p_o)
+    if user_scenarios is None:
+        scheme, user_scenarios, user_specs = "pi", pricing_scenarios, pricing_specs
+    else:
+        scheme = "pt"
+        user_specs = user_specs_from_grouping(pricing_specs, user_scenarios, grouping)
+    responses, sc = _user_realization(
+        price, user_scenarios, user_specs, periods, supply, elastic_fraction
+    )
+    return PricingResult(
+        best_price=price,
+        scheme=scheme,
+        social_cost=sc,
+        responses=responses,
+        trace=trace,
+        scan_cost=scan_cost,
+        n_candidates=n_candidates,
+        n_evaluations=len(trace),
+        epsilon=eps_used,
+    )
+
+
 def optimize_price_difference(
     pricing_scenarios: ScenarioSet,
     pricing_specs: Mapping[str, StorageSpec],
@@ -210,40 +249,9 @@ def optimize_price_difference(
     Ties between equally cheap candidates resolve to the smaller price
     difference.
     """
-    best, trace, n_candidates, eps_used = _scan(
-        pricing_scenarios, pricing_specs, periods, supply, p_offpeak, elastic_fraction, eps
-    )
-    p_delta, scan_cost, scan_responses = best
-    price = TouPrice(p_offpeak + p_delta, p_offpeak)
-    if user_scenarios is None:
-        scheme = "pi"
-        sc = social_cost(
-            pricing_scenarios,
-            pricing_specs,
-            scan_responses,
-            periods,
-            supply,
-            check_feasibility=False,
-        )
-        responses = scan_responses
-    else:
-        if grouping is None:
-            raise InputError("a grouping is required with user scenarios")
-        scheme = "pt"
-        user_specs = user_specs_from_grouping(pricing_specs, user_scenarios, grouping)
-        responses, sc = _user_realization(
-            price, user_scenarios, user_specs, periods, supply, elastic_fraction
-        )
-    return PricingResult(
-        best_price=price,
-        scheme=scheme,
-        social_cost=sc,
-        responses=responses,
-        trace=trace,
-        scan_cost=scan_cost,
-        n_candidates=n_candidates,
-        n_evaluations=len(trace),
-        epsilon=eps_used,
+    return _search(
+        pricing_scenarios, pricing_specs, user_scenarios, grouping, periods, supply,
+        [p_offpeak], eps, elastic_fraction,
     )
 
 
@@ -271,54 +279,10 @@ def optimize_prices_extended(
         raise InputError("off-peak price range must satisfy 0 <= lo <= hi")
     if p_o_steps < 1:
         raise InputError("p_o_steps must be >= 1")
-    grid = np.linspace(lo, hi, int(p_o_steps))
-    best = None
-    trace: list[tuple[float, float, float]] = []
-    n_candidates = 0
-    for p_o in grid:
-        (p_delta, cost, responses), scan_trace, n_cand, eps_used = _scan(
-            pricing_scenarios,
-            pricing_specs,
-            periods,
-            supply,
-            float(p_o),
-            elastic_fraction,
-            eps,
-        )
-        trace.extend(scan_trace)
-        if best is None or cost < best[2]:
-            best = (float(p_o), p_delta, cost, responses, n_cand, eps_used)
-    p_o, p_delta, scan_cost, scan_responses, n_candidates, eps_used = best
-    price = TouPrice(p_o + p_delta, p_o)
-    if user_scenarios is None:
-        scheme = "pi"
-        sc = social_cost(
-            pricing_scenarios,
-            pricing_specs,
-            scan_responses,
-            periods,
-            supply,
-            check_feasibility=False,
-        )
-        responses = scan_responses
-    else:
-        if grouping is None:
-            raise InputError("a grouping is required with user scenarios")
-        scheme = "pt"
-        user_specs = user_specs_from_grouping(pricing_specs, user_scenarios, grouping)
-        responses, sc = _user_realization(
-            price, user_scenarios, user_specs, periods, supply, elastic_fraction
-        )
-    return PricingResult(
-        best_price=price,
-        scheme=scheme,
-        social_cost=sc,
-        responses=responses,
-        trace=trace,
-        scan_cost=scan_cost,
-        n_candidates=n_candidates,
-        n_evaluations=len(trace),
-        epsilon=eps_used,
+    grid = [float(p_o) for p_o in np.linspace(lo, hi, int(p_o_steps))]
+    return _search(
+        pricing_scenarios, pricing_specs, user_scenarios, grouping, periods, supply,
+        grid, eps, elastic_fraction,
     )
 
 
@@ -333,10 +297,22 @@ def social_cost_curve(
 ) -> np.ndarray:
     """Vectorized total social cost over an array of price differences.
 
-    Evaluates the same best responses as `respond` for every grid point at
-    once; used for dense sweeps, ratio maps and grid cross-checks.
+    Evaluates the same best responses as `respond` for every grid point; the
+    tariff scan, dense sweeps, ratio maps and grid cross-checks all run on it.
+    Long arrays are evaluated in blocks of _CURVE_BLOCK points, so memory
+    stays O(block x outcomes) whatever the number of price differences.
     """
     pds = np.asarray(p_deltas, dtype=float)
+    out = np.empty(pds.shape[0])
+    for start in range(0, pds.shape[0], _CURVE_BLOCK):
+        block = pds[start : start + _CURVE_BLOCK]
+        out[start : start + block.shape[0]] = _curve_block(
+            scenarios, specs, periods, supply, block, p_offpeak, elastic_fraction
+        )
+    return out
+
+
+def _curve_block(scenarios, specs, periods, supply, pds, p_offpeak, elastic_fraction):
     n_grid = pds.shape[0]
     peak_load = np.repeat(scenarios.aggregate_peak()[None, :], n_grid, axis=0)
     off_load = np.repeat(scenarios.aggregate_offpeak()[None, :], n_grid, axis=0)
@@ -347,28 +323,18 @@ def social_cost_curve(
     for j, entity in enumerate(scenarios.entities):
         spec = specs[entity]
         peak = scenarios.peak[:, j]
-        elastic = elastic_fraction * peak
         loss = spec.eta_c * spec.eta_d
         tr = equivalent_transform(spec, p_offpeak, 0.0)
         pdd = pds * loss - p_offpeak * (1.0 - loss) - spec.tau * (1.0 + loss)
-        variants = {}
-        for shifted_state in (False, True):
-            q = elastic if shifted_state else np.zeros_like(elastic)
-            dag = (peak - q) * tr.peak_scale
-            order = np.argsort(dag, kind="stable")
-            thresholds = tr.theta / _tail_masses(probs[order])
-            steps = np.concatenate(([0.0], dag[order]))
-            cap_dag = steps[np.searchsorted(thresholds, pdd, side="left")]
-            charge = np.minimum(cap_dag[:, None], dag[None, :])
-            variants[shifted_state] = (q, cap_dag, charge)
-        if spec.e_shift is None:
-            q_sel = np.zeros((n_grid, scenarios.n_outcomes))
-            cap_sel, charge_sel = variants[False][1], variants[False][2]
-        else:
+        cap_sel, charge_sel = _sized(peak, probs, tr, pdd)
+        q_sel = 0.0
+        if spec.e_shift is not None:
+            elastic = elastic_fraction * peak
+            cap_q, charge_q = _sized(peak - elastic, probs, tr, pdd)
             mask = pds > spec.e_shift
-            q_sel = np.where(mask[:, None], variants[True][0][None, :], 0.0)
-            cap_sel = np.where(mask, variants[True][1], variants[False][1])
-            charge_sel = np.where(mask[:, None], variants[True][2], variants[False][2])
+            q_sel = np.where(mask[:, None], elastic[None, :], 0.0)
+            cap_sel = np.where(mask, cap_q, cap_sel)
+            charge_sel = np.where(mask[:, None], charge_q, charge_sel)
             shift_cost += spec.e_shift * (q_sel @ probs)
         peak_load -= q_sel + loss * charge_sel
         off_load += q_sel + charge_sel
@@ -378,6 +344,17 @@ def social_cost_curve(
         peak_load, periods.h_peak, supply
     ) + supply_cost_period(off_load, periods.h_offpeak, supply)
     return investment + degradation + shift_cost + per_outcome @ probs
+
+
+def _sized(residual, probs, tr, pdd):
+    """Transformed capacity and per-outcome charges on residual peak demand,
+    one row per transformed price difference."""
+    dag = residual * tr.peak_scale
+    order = np.argsort(dag, kind="stable")
+    thresholds = tr.theta / _tail_masses(probs[order])
+    steps = np.concatenate(([0.0], dag[order]))
+    cap_dag = steps[np.searchsorted(thresholds, pdd, side="left")]
+    return cap_dag, np.minimum(cap_dag[:, None], dag[None, :])
 
 
 def evaluate_lambda(

@@ -76,6 +76,19 @@ def test_optimize_writes_results_and_passes_grid_check(tmp_path):
     assert pt["social_cost"]["total"] >= pi["social_cost"]["total"] - 1e-9
 
 
+def test_readme_optimize_with_grid_check_on_example_config(tmp_path, capsys):
+    from pathlib import Path
+
+    example = Path(__file__).resolve().parent.parent / "configs" / "example.yaml"
+    out = tmp_path / "out"
+    code = main(
+        ["optimize", "--config", str(example), "--out", str(out), "--scheme", "both", "--verify-grid"]
+    )
+    assert code == 0
+    assert "grid check passed for pi" in capsys.readouterr().out
+    assert (out / "run_meta.json").is_file()
+
+
 def test_optimize_deterministic_outputs(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -16,6 +16,8 @@ from toudesign import (
     social_cost_curve,
 )
 
+from toudesign.pricing import _CURVE_BLOCK
+
 from conftest import HALF_DAY, random_scenarios, random_specs
 
 EVENING_PEAK = PeriodStructure(frozenset({0, 18, 19, 20, 21, 22, 23}))
@@ -54,6 +56,15 @@ def test_scan_equals_grid_taken_just_above_thresholds(quadratic_supply):
         probe = np.array(sorted(pd for _, pd, _ in result.trace))
         totals = social_cost_curve(scen, specs, HALF_DAY, quadratic_supply, probe)
         assert result.scan_cost == pytest.approx(totals.min(), abs=1e-9)
+        # every scanned candidate agrees with the scalar oracle just above its kink
+        for _, pd, total in result.trace:
+            price = TouPrice(pd, 0.0)
+            responses = {
+                e: respond(specs[e], price, scen.probs, scen.peak[:, j])
+                for j, e in enumerate(scen.entities)
+            }
+            sc = social_cost(scen, specs, responses, HALF_DAY, quadratic_supply)
+            assert total == pytest.approx(sc.total, rel=1e-12, abs=0.0)
 
 
 def test_social_cost_curve_matches_pointwise_evaluation(quadratic_supply):
@@ -62,10 +73,16 @@ def test_social_cost_curve_matches_pointwise_evaluation(quadratic_supply):
     specs = random_specs(
         rng, scen.entities, eta_c=0.9, eta_d=0.85, tau=0.1
     )
-    pds = rng.uniform(0.0, 10.0, 25)
+    # one point past a whole block, so both sides of a block edge are checked
+    pds = rng.uniform(0.0, 10.0, _CURVE_BLOCK + 1)
     curve = social_cost_curve(
         scen, specs, HALF_DAY, quadratic_supply, pds, p_offpeak=1.0
     )
+    for n in (_CURVE_BLOCK - 1, _CURVE_BLOCK):
+        head = social_cost_curve(
+            scen, specs, HALF_DAY, quadratic_supply, pds[:n], p_offpeak=1.0
+        )
+        np.testing.assert_allclose(head, curve[:n], rtol=1e-12, atol=0.0)
     for i, pd in enumerate(pds):
         price = TouPrice(1.0 + pd, 1.0)
         responses = {
@@ -334,6 +351,12 @@ def test_elastic_candidates_include_shift_cost(quadratic_supply):
     )
     evaluated = {round(pd - result.epsilon, 9) for _, pd, _ in result.trace}
     assert 0.7 in evaluated
+    for fraction in (-0.1, 1.5):
+        with pytest.raises(InputError):
+            optimize_price_difference(
+                scen, specs, None, None, HALF_DAY, quadratic_supply,
+                elastic_fraction=fraction,
+            )
 
 
 def test_lambda_map_regions():
