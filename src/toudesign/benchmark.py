@@ -6,9 +6,12 @@ dispatch problem only depends on the aggregate charge, whose optimum has a
 closed form: equalize the average power of the two periods, clamped to the
 available charging headroom. That reduces the planner problem to a convex
 piecewise-quadratic program in the capacities alone, solved here by cyclic
-coordinate descent with exact one-dimensional minimization. The marginal
-value of aggregate headroom is continuous, so coordinate-wise optimality is
-global optimality for this objective.
+coordinate descent with exact one-dimensional minimization. Each coordinate
+step is one sorted pass over the breakpoints of that capacity's derivative,
+and the aggregate headroom is kept incrementally, re-summed once per sweep.
+The marginal value of aggregate headroom is continuous, so coordinate-wise
+optimality is global optimality for this objective; every plan reports the
+largest violated one-sided partial derivative as an optimality certificate.
 
 Also provided: the zero-cost closed form, ratio reports against the pricing
 schemes, investment-structure validators and a brute-force grid oracle.
@@ -16,6 +19,7 @@ schemes, investment-structure validators and a brute-force grid oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -38,7 +42,6 @@ ORDERING_TOL = 1e-9
 class SolverSettings:
     tolerance: float = 1e-11
     max_iterations: int = 10_000
-    capacity_grid_step: float | None = None
 
     def __post_init__(self):
         if not self.tolerance > 0:
@@ -49,12 +52,18 @@ class SolverSettings:
 
 @dataclass
 class SocialPlan:
-    """Planner solution: per-user capacities, per-outcome charges, cost."""
+    """Planner solution: per-user capacities, per-outcome charges, cost.
+
+    optimality_residual is the largest violated one-sided partial derivative
+    of the planner objective at the capacities (zero at an exact optimum),
+    in the cost unit of the storage costs.
+    """
 
     capacities: dict[str, float]
     charges: dict[str, np.ndarray]
     social_cost: SocialCostBreakdown
     iterations: int = 0
+    optimality_residual: float = math.nan
 
     def to_json_dict(self) -> dict:
         return {
@@ -62,6 +71,7 @@ class SocialPlan:
             "charges": {k: [float(x) for x in v] for k, v in self.charges.items()},
             "social_cost": self.social_cost.to_json_dict(),
             "iterations": self.iterations,
+            "optimality_residual": self.optimality_residual,
         }
 
 
@@ -99,23 +109,34 @@ def _shift_targets(scenarios: ScenarioSet, periods: PeriodStructure) -> np.ndarr
     ) / (periods.h_peak + periods.h_offpeak)
 
 
+def _supply_slope(
+    scenarios: ScenarioSet, periods: PeriodStructure, supply: SupplyCostParams
+) -> tuple[np.ndarray, float]:
+    """Marginal supply saving of aggregate charge S, as slope0 + curvature * S.
+
+    d/dS [g_p(Ap - S) + g_o(Ao + S)] per outcome; it is zero at the shift
+    target.
+    """
+    curvature = 2.0 * supply.alpha * (1.0 / periods.h_peak + 1.0 / periods.h_offpeak)
+    slope0 = 2.0 * supply.alpha * (
+        scenarios.aggregate_offpeak() / periods.h_offpeak
+        - scenarios.aggregate_peak() / periods.h_peak
+    )
+    return slope0, curvature
+
+
 def _greedy_charges(
     capacities: np.ndarray, peak: np.ndarray, total_shift: np.ndarray
 ) -> np.ndarray:
     """Split each outcome's aggregate charge among users in index order.
 
-    Any feasible split yields the same supply cost because only the sum
-    enters it.
+    Each user takes what is left after the users before it, up to its own
+    bound min(capacity, peak demand). Any feasible split yields the same
+    supply cost because only the sum enters it.
     """
-    n_out, n_users = peak.shape
-    charges = np.zeros((n_out, n_users))
-    for w in range(n_out):
-        remaining = total_shift[w]
-        for i in range(n_users):
-            take = min(remaining, capacities[i], peak[w, i])
-            charges[w, i] = take
-            remaining -= take
-    return charges
+    bound = np.minimum(capacities[None, :], peak)
+    before = np.cumsum(bound, axis=1) - bound
+    return np.clip(total_shift[:, None] - before, 0.0, bound)
 
 
 def _plan_from_capacities(
@@ -130,6 +151,10 @@ def _plan_from_capacities(
     headroom = np.minimum(capacities[None, :], scenarios.peak).sum(axis=1)
     total_shift = np.clip(targets, 0.0, headroom)
     charges = _greedy_charges(capacities, scenarios.peak, total_shift)
+    thetas_arr = np.array([float(thetas[e]) for e in scenarios.entities])
+    residual = _optimality_residual(
+        scenarios, thetas_arr, periods, supply, capacities, headroom
+    )
     specs = _lossless_specs(thetas)
     responses = {
         e: ResponseProfile(
@@ -147,6 +172,7 @@ def _plan_from_capacities(
         charges={e: charges[:, j] for j, e in enumerate(scenarios.entities)},
         social_cost=breakdown,
         iterations=iterations,
+        optimality_residual=residual,
     )
 
 
@@ -162,6 +188,30 @@ def _objective(scenarios, thetas_arr, periods, supply, capacities) -> float:
     return float(thetas_arr @ capacities + scenarios.probs @ per_outcome)
 
 
+def _optimality_residual(
+    scenarios: ScenarioSet,
+    thetas_arr: np.ndarray,
+    periods: PeriodStructure,
+    supply: SupplyCostParams,
+    capacities: np.ndarray,
+    headroom: np.ndarray,
+) -> float:
+    """Largest violated one-sided partial derivative of the planner objective.
+
+    Each kink of min(c_i, d_wi) involves one capacity and the clipped supply
+    term is continuously differentiable in the aggregate headroom, so the
+    directional derivative is separable and the capacities are optimal
+    exactly when every right derivative is >= 0 and, where c_i > 0, every
+    left derivative is <= 0 (Tseng 2001, JOTA 109(3)).
+    """
+    slope0, curvature = _supply_slope(scenarios, periods, supply)
+    saving = scenarios.probs * np.minimum(0.0, slope0 + curvature * headroom)
+    right = thetas_arr + saving @ (scenarios.peak > capacities)
+    left = thetas_arr + saving @ (scenarios.peak >= capacities)
+    violations = np.concatenate(([0.0], -right, left[capacities > 0.0]))
+    return float(violations.max())
+
+
 def _coordinate_minimum(
     theta_i: float,
     demand_i: np.ndarray,
@@ -174,27 +224,38 @@ def _coordinate_minimum(
     """Exact minimizer of the planner objective along one capacity.
 
     The right derivative at t is theta_i plus the probability-weighted
-    marginal supply saving of the outcomes where extra capacity still binds
-    (demand above t and aggregate headroom below the shift target). It is
-    non-decreasing and piecewise linear, so walk its breakpoints and solve
-    the linear piece that crosses zero.
+    marginal supply saving of the outcomes where extra capacity still binds:
+    the sum over cap_w > t of p_w (slope0_w + curvature (rest_w + t)), where
+    cap_w = min(demand, shift target - rest) is the outcome's breakpoint.
+    It is non-decreasing and piecewise linear, so one sorted pass finds the
+    minimizer: suffix sums over the sorted breakpoints give the linear piece
+    ending at each of them. The minimizer lies on the first piece whose
+    derivative reaches zero by its right end: it is the piece's left end if
+    the derivative, which jumps up at breakpoints, is already >= 0 there,
+    else the root of the piece. Breakpoints <= 0 are never active for t >= 0
+    and are dropped. A tied breakpoint starts a piece of zero length, which
+    can only return that breakpoint, so ties need no special case.
     """
     caps = np.minimum(demand_i, targets - rest)
-    t = 0.0
-    while True:
-        active = caps > t
-        g = theta_i + float(
-            np.sum(probs[active] * (slope0[active] + curvature * (rest[active] + t)))
-        )
-        if g >= 0.0:
-            return t
-        step = curvature * float(probs[active].sum())
-        nxt = float(caps[active].min())
-        if step > 0:
-            root = t - g / step
-            if root <= nxt:
-                return root
-        t = nxt
+    terms = probs * (slope0 + curvature * rest)
+    active = caps > 0.0
+    if theta_i + terms @ active >= 0.0:
+        return 0.0
+    order = caps.argsort()[caps.size - np.count_nonzero(active):]
+    caps = caps[order]
+    # Piece k runs from caps[k - 1] (0 for k = 0) to caps[k]; on it the
+    # derivative is theta_i + offset[k] + slope[k] * t.
+    offset = terms[order][::-1].cumsum()[::-1]
+    slope = curvature * probs[order][::-1].cumsum()[::-1]
+    reaches = offset + slope * caps >= -theta_i
+    k = int(reaches.argmax())
+    if not reaches[k]:
+        return float(caps[-1])
+    start = caps[k - 1] if k else 0.0
+    at_start = theta_i + offset[k] + slope[k] * start
+    if at_start >= 0.0:
+        return float(start)
+    return float(min(caps[k], start - at_start / slope[k]))
 
 
 def solve_so(
@@ -207,9 +268,14 @@ def solve_so(
     """Minimize investment plus expected supply cost over per-user capacities.
 
     Cyclic exact coordinate descent on the capacity vector; the per-outcome
-    aggregate charge is always the closed-form clamped optimum. Raises
-    ConvergenceError carrying the best incumbent if the objective has not
-    stalled within max_iterations sweeps.
+    aggregate charge is always the closed-form clamped optimum. Each
+    coordinate step is one sorted pass over its breakpoints
+    (_coordinate_minimum) against the aggregate headroom of the other users,
+    which is updated in place after every step and re-summed at the start of
+    each sweep so rounding cannot drift. The loop stops when the objective
+    stalls; the returned plan carries the optimality residual of its final
+    capacities. Raises ConvergenceError carrying the best incumbent if the
+    objective has not stalled within max_iterations sweeps.
     """
     settings = settings or SolverSettings()
     missing = [e for e in scenarios.entities if e not in thetas]
@@ -218,32 +284,30 @@ def solve_so(
     thetas_arr = np.array([float(thetas[e]) for e in scenarios.entities])
     if np.any(thetas_arr <= 0):
         raise InputError("storage costs must be > 0")
-    peak = scenarios.peak
     probs = scenarios.probs
     targets = _shift_targets(scenarios, periods)
-    # Marginal supply saving of one extra MWh of aggregate charge at S:
-    # d/dS [g_p(Ap - S) + g_o(Ao + S)] = slope0 + curvature * S.
-    curvature = 2.0 * supply.alpha * (1.0 / periods.h_peak + 1.0 / periods.h_offpeak)
-    slope0 = 2.0 * supply.alpha * (
-        scenarios.aggregate_offpeak() / periods.h_offpeak
-        - scenarios.aggregate_peak() / periods.h_peak
-    )
+    slope0, curvature = _supply_slope(scenarios, periods, supply)
     n_users = scenarios.n_entities
     capacities = np.zeros(n_users)
-    bound = np.minimum(capacities[None, :], peak)
+    # One row per user: its demand and its share min(c_i, d_wi) of headroom.
+    demand = np.ascontiguousarray(scenarios.peak.T)
+    bound = np.zeros_like(demand)
+    users = list(enumerate(zip(thetas_arr.tolist(), demand, bound)))
     obj = _objective(scenarios, thetas_arr, periods, supply, capacities)
     converged = False
     sweeps = 0
     for sweeps in range(1, settings.max_iterations + 1):
         moved = 0.0
-        for i in range(n_users):
-            rest = bound.sum(axis=1) - bound[:, i]
+        total = bound.sum(axis=0)
+        for i, (theta_i, demand_i, bound_i) in users:
+            rest = total - bound_i
             new_c = _coordinate_minimum(
-                thetas_arr[i], peak[:, i], rest, probs, slope0, curvature, targets
+                theta_i, demand_i, rest, probs, slope0, curvature, targets
             )
             moved = max(moved, abs(new_c - capacities[i]))
             capacities[i] = new_c
-            bound[:, i] = np.minimum(new_c, peak[:, i])
+            np.minimum(new_c, demand_i, out=bound_i)
+            np.add(rest, bound_i, out=total)
         new_obj = _objective(scenarios, thetas_arr, periods, supply, capacities)
         stalled = abs(obj - new_obj) <= settings.tolerance * max(1.0, abs(new_obj))
         obj = new_obj

@@ -1,9 +1,12 @@
 """Command line front end: ingest, optimize, sweep, benchmark, verify.
 
 Exit codes: 0 success, 2 invalid input, 3 invariant violation, 4 solver
-non-convergence. Every command writes a run_meta.json with the resolved
-configuration snapshot; result tables carry no timestamps so identical
-configuration and seed reproduce identical files.
+non-convergence. Every command that returns, also after a failed check,
+writes a run_meta.json with the resolved configuration snapshot, the
+outputs written and its exit status; a command ended by an exception
+(invalid input, a cost-ordering violation, non-convergence) reports on
+stderr only. Result tables carry no timestamps so identical configuration
+and seed reproduce identical files.
 """
 
 from __future__ import annotations
@@ -56,7 +59,9 @@ def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
 
 
-def _write_meta(out: Path, command: str, cfg: ExperimentConfig, seed: int, outputs) -> None:
+def _write_meta(
+    out: Path, command: str, cfg: ExperimentConfig, seed: int, outputs, exit_status: int
+) -> None:
     _write_json(
         out / "run_meta.json",
         {
@@ -65,6 +70,7 @@ def _write_meta(out: Path, command: str, cfg: ExperimentConfig, seed: int, outpu
             "seed": seed,
             "config": cfg.snapshot(),
             "outputs": sorted(str(o) for o in outputs),
+            "exit_status": exit_status,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         },
     )
@@ -214,7 +220,7 @@ def cmd_ingest(cfg: ExperimentConfig, out: Path, seed: int) -> int:
     scenarios = cfg.load_user_scenarios(seed)
     path = out / "scenarios.csv"
     scenarios.to_csv(path)
-    _write_meta(out, "ingest", cfg, seed, [path])
+    _write_meta(out, "ingest", cfg, seed, [path], 0)
     print(f"wrote {path} ({scenarios.n_outcomes} outcomes, {scenarios.n_entities} entities)")
     return 0
 
@@ -254,9 +260,10 @@ def cmd_optimize(cfg: ExperimentConfig, out: Path, seed: int, scheme: str, verif
             )
             if failure:
                 print(f"grid check FAILED for {sch}: {failure}", file=sys.stderr)
+                _write_meta(out, "optimize", cfg, seed, outputs, 3)
                 return 3
             print(f"grid check passed for {sch}")
-    _write_meta(out, "optimize", cfg, seed, outputs)
+    _write_meta(out, "optimize", cfg, seed, outputs, 0)
     return 0
 
 
@@ -285,7 +292,8 @@ def cmd_benchmark(cfg: ExperimentConfig, out: Path, seed: int) -> int:
         outputs[2],
         {k: {"ok": r.ok, "violations": r.violations} for k, r in reports.items()},
     )
-    _write_meta(out, "benchmark", cfg, seed, outputs)
+    status = 0 if all(r.ok for r in reports.values()) else 3
+    _write_meta(out, "benchmark", cfg, seed, outputs, status)
     print(
         f"kappa_pt={ratios.kappa_pt:.6f} kappa_pi={ratios.kappa_pi:.6f} "
         f"kappa_no={ratios.kappa_no:.6f}"
@@ -435,7 +443,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int, axis: str) -> int:
         )
     else:
         raise InputError(f"unknown sweep axis {axis!r}")
-    _write_meta(out, f"sweep:{axis}", cfg, seed, [path])
+    _write_meta(out, f"sweep:{axis}", cfg, seed, [path], 0)
     print(f"wrote {path}")
     return 0
 
@@ -554,8 +562,9 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, seed: int) -> int:
         if not ok:
             failures.append(name)
     _write_json(out / "verify_report.json", results)
-    _write_meta(out, "verify", cfg, seed, [out / "verify_report.json"])
-    return 3 if failures else 0
+    status = 3 if failures else 0
+    _write_meta(out, "verify", cfg, seed, [out / "verify_report.json"], status)
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:

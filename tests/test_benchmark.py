@@ -23,6 +23,15 @@ from toudesign import (
     validate_structure_so,
 )
 
+from toudesign.benchmark import (
+    _coordinate_minimum,
+    _greedy_charges,
+    _objective,
+    _plan_from_capacities,
+    _shift_targets,
+    _supply_slope,
+)
+
 from conftest import HALF_DAY, random_scenarios
 
 
@@ -36,6 +45,7 @@ def test_solve_so_huge_cost_means_no_storage(quadratic_supply):
     plan = solve_so(scen, thetas_for(scen, [1e8, 2e8, 3e8]), HALF_DAY, quadratic_supply)
     assert all(c == 0.0 for c in plan.capacities.values())
     assert plan.social_cost.total == no_storage_cost(scen, HALF_DAY, quadratic_supply).total
+    assert plan.optimality_residual == 0.0
 
 
 def test_solve_so_free_storage_single_outcome():
@@ -62,6 +72,21 @@ def test_solve_so_matches_brute_force_oracle(quadratic_supply):
         assert oracle.social_cost.total - plan.social_cost.total <= 1e-6 * max(
             1.0, oracle.social_cost.total
         )
+        assert plan.optimality_residual <= 1e-5 * max(thetas.values())
+
+
+def test_optimality_residual_flags_zero_capacities_where_storage_pays(quadratic_supply):
+    rng = np.random.default_rng(14)
+    scen = random_scenarios(rng, 3, 4)
+    thetas = thetas_for(scen, [0.02, 0.05, 0.1])
+    plan = solve_so(scen, thetas, HALF_DAY, quadratic_supply)
+    assert max(plan.capacities.values()) > 0.0
+    assert plan.optimality_residual <= 1e-5 * 0.1
+    idle = _plan_from_capacities(
+        scen, thetas, HALF_DAY, quadratic_supply, np.zeros(3), iterations=0
+    )
+    assert idle.optimality_residual > 1e-3
+    assert plan.to_json_dict()["optimality_residual"] == plan.optimality_residual
 
 
 def test_so_zero_cost_examples():
@@ -352,3 +377,132 @@ def test_plan_objective_below_any_stage2_plan(quadratic_supply):
             scen, specs, None, None, HALF_DAY, quadratic_supply
         )
         assert plan.social_cost.total <= result.social_cost.total + 1e-9
+
+
+COORDINATE_SUPPLY = SupplyCostParams(alpha=2.0)
+# 2 alpha (1/h_peak + 1/h_offpeak) on HALF_DAY
+COORDINATE_CURVATURE = 2.0 * 2.0 * (1.0 / 12.0 + 1.0 / 12.0)
+
+
+def _coordinate_case(theta, demand, rest, offpeak, probs, extra=None):
+    """One capacity against a fixed headroom `rest` of the other users.
+
+    User "rest" has peak demand rest and a capacity covering it, so it adds
+    exactly rest to the aggregate headroom; user "load" adds peak demand
+    `extra` and no capacity. The planner objective along the first capacity
+    is then _objective at [t, max(rest), 0]. Returns the coordinate step's
+    result, the objective along the coordinate and the breakpoints.
+    """
+    supply = COORDINATE_SUPPLY
+    extra = np.zeros_like(demand) if extra is None else extra
+    peak = np.column_stack((demand, rest, extra))
+    off = np.column_stack((offpeak, np.zeros_like(demand), np.zeros_like(demand)))
+    scen = ScenarioSet(("i", "rest", "load"), probs, peak, off)
+    targets = _shift_targets(scen, HALF_DAY)
+    slope0, curvature = _supply_slope(scen, HALF_DAY, supply)
+    assert curvature == pytest.approx(COORDINATE_CURVATURE, rel=1e-15)
+    t = _coordinate_minimum(theta, demand, rest, probs, slope0, curvature, targets)
+    thetas = np.array([theta, 1.0, 1.0])
+    cap_rest = float(rest.max())
+
+    def along(x):
+        return _objective(scen, thetas, HALF_DAY, supply, np.array([x, cap_rest, 0.0]))
+
+    return t, along, np.minimum(demand, targets - rest)
+
+
+def _assert_coordinate_minimum(t, along, demand, breakpoints):
+    hi = float(demand.max())
+    assert 0.0 <= t <= hi
+    grid = np.concatenate((np.linspace(0.0, hi, 2001), breakpoints[breakpoints > 0.0]))
+    best = min(along(x) for x in grid)
+    at_t = along(t)
+    assert at_t <= best + 1e-12 * max(1.0, abs(best))
+    h = 1e-6 * max(1.0, hi)
+    tol = 1e-12 * max(1.0, abs(at_t))
+    assert along(t + h) >= at_t - tol
+    if t > 0.0:
+        assert along(max(t - h, 0.0)) >= at_t - tol
+
+
+def test_coordinate_minimum_beats_grid_on_random_draws():
+    rng = np.random.default_rng(15)
+    for _ in range(25):
+        n_out = int(rng.integers(1, 9))
+        probs = rng.uniform(0.2, 1.0, n_out)
+        probs /= probs.sum()
+        demand = rng.uniform(0.0, 8.0, n_out)
+        case = _coordinate_case(
+            float(rng.uniform(0.01, 3.0)),
+            demand,
+            rng.uniform(0.0, 6.0, n_out),
+            rng.uniform(0.0, 4.0, n_out),
+            probs,
+            extra=rng.uniform(0.0, 12.0, n_out),
+        )
+        _assert_coordinate_minimum(case[0], case[1], demand, case[2])
+
+
+def test_coordinate_minimum_edge_cases():
+    quarter = np.full(4, 0.25)
+    # every breakpoint <= 0: off-peak already busier than peak
+    demand = np.array([3.0, 4.0, 5.0, 6.0])
+    t, _, breaks = _coordinate_case(0.01, demand, np.zeros(4), np.full(4, 20.0), quarter)
+    assert np.all(breaks <= 0.0)
+    assert t == 0.0
+    # the others' headroom already reaches every shift target
+    t, _, breaks = _coordinate_case(0.01, demand, np.full(4, 6.0), np.zeros(4), quarter)
+    assert np.all(breaks <= 0.0)
+    assert t == 0.0
+
+    # tied breakpoints, capped by demand (a heavy idle load keeps the shift
+    # targets above) and by the shift target
+    tied = np.array([3.0, 3.0, 3.0, 5.0])
+    heavy = np.full(4, 20.0)
+    for extra, theta in ((heavy, 0.01), (heavy, 2.0), (heavy, 6.0), (None, 0.01)):
+        t, along, breaks = _coordinate_case(theta, tied, np.zeros(4), np.zeros(4), quarter, extra)
+        assert np.unique(breaks).size == 2
+        _assert_coordinate_minimum(t, along, tied, breaks)
+
+    # the root falls in the last active piece: breakpoints at half the demand
+    third = np.full(3, 1.0 / 3.0)
+    demand = np.array([2.0, 4.0, 8.0])
+    t, along, breaks = _coordinate_case(0.01, demand, np.zeros(3), np.zeros(3), third)
+    np.testing.assert_allclose(breaks, [1.0, 2.0, 4.0])
+    assert 2.0 < t < 4.0
+    assert t == pytest.approx(4.0 - 0.01 / (COORDINATE_CURVATURE / 3.0), rel=1e-12)
+    _assert_coordinate_minimum(t, along, demand, breaks)
+
+    # a single outcome
+    one = np.array([6.0])
+    t, along, breaks = _coordinate_case(0.01, one, np.zeros(1), np.zeros(1), np.ones(1))
+    assert t == pytest.approx(3.0 - 0.01 / COORDINATE_CURVATURE, rel=1e-12)
+    _assert_coordinate_minimum(t, along, one, breaks)
+
+
+def _sequential_split(capacities, peak, total_shift):
+    charges = np.zeros_like(peak)
+    for w in range(peak.shape[0]):
+        remaining = total_shift[w]
+        for i in range(peak.shape[1]):
+            take = min(remaining, capacities[i], peak[w, i])
+            charges[w, i] = take
+            remaining -= take
+    return charges
+
+
+def test_greedy_charges_match_sequential_split():
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        n_out, n_users = (int(x) for x in rng.integers(1, 7, 2))
+        capacities = rng.uniform(0.0, 6.0, n_users) * (rng.random(n_users) > 0.2)
+        peak = rng.uniform(0.0, 8.0, (n_out, n_users))
+        headroom = np.minimum(capacities[None, :], peak).sum(axis=1)
+        total_shift = np.clip(rng.uniform(-1.0, 1.3, n_out) * headroom, 0.0, headroom)
+        charges = _greedy_charges(capacities, peak, total_shift)
+        np.testing.assert_allclose(
+            charges, _sequential_split(capacities, peak, total_shift), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(charges.sum(axis=1), total_shift, rtol=0, atol=1e-12)
+        assert np.all(charges >= 0.0)
+        assert np.all(charges <= np.minimum(capacities[None, :], peak))

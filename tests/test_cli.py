@@ -51,6 +51,7 @@ def test_ingest_roundtrip(tmp_path):
     assert scen.n_entities == 2
     meta = json.loads((out / "run_meta.json").read_text())
     assert meta["command"] == "ingest"
+    assert meta["exit_status"] == 0
     assert meta["config"]["storage"]["theta_bar"] == 0.6
 
 
@@ -87,6 +88,24 @@ def test_readme_optimize_with_grid_check_on_example_config(tmp_path, capsys):
     assert code == 0
     assert "grid check passed for pi" in capsys.readouterr().out
     assert (out / "run_meta.json").is_file()
+
+
+def test_failed_grid_check_still_writes_run_meta(tmp_path, monkeypatch):
+    import toudesign.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "_verify_grid", lambda *a, **k: "synthetic failure")
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    code = main(
+        ["optimize", "--config", str(cfg), "--out", str(out), "--scheme", "both", "--verify-grid"]
+    )
+    assert code == 3
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["command"] == "optimize"
+    assert meta["exit_status"] == 3
+    assert meta["outputs"] == sorted(
+        str(out / name) for name in ("result_pt.json", "trace_pt.csv", "responses_pt.csv")
+    )
 
 
 def test_optimize_deterministic_outputs(tmp_path):
