@@ -28,7 +28,6 @@ from .costs import (
 )
 from .demand import (
     HourlyLoadTable,
-    LoadRow,
     PeriodStructure,
     ScenarioSet,
     adjust_variance,

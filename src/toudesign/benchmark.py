@@ -29,7 +29,7 @@ from .costs import (
     SocialCostBreakdown,
     SupplyCostParams,
     social_cost,
-    supply_cost_period,
+    two_period_supply_cost,
 )
 from .demand import PeriodStructure, ScenarioSet
 from .errors import ConvergenceError, InputError, OrderingViolationError
@@ -176,16 +176,19 @@ def _plan_from_capacities(
     )
 
 
-def _objective(scenarios, thetas_arr, periods, supply, capacities) -> float:
+def _objective(scenarios, thetas_arr, periods, supply):
+    """The planner objective as a function of the capacities; the shift
+    targets and aggregate loads it needs are computed once, here."""
     targets = _shift_targets(scenarios, periods)
-    headroom = np.minimum(capacities[None, :], scenarios.peak).sum(axis=1)
-    shift = np.clip(targets, 0.0, headroom)
-    per_outcome = supply_cost_period(
-        scenarios.aggregate_peak() - shift, periods.h_peak, supply
-    ) + supply_cost_period(
-        scenarios.aggregate_offpeak() + shift, periods.h_offpeak, supply
-    )
-    return float(thetas_arr @ capacities + scenarios.probs @ per_outcome)
+    agg_peak, agg_offpeak = scenarios.aggregate_peak(), scenarios.aggregate_offpeak()
+
+    def objective(capacities: np.ndarray) -> float:
+        headroom = np.minimum(capacities[None, :], scenarios.peak).sum(axis=1)
+        shift = np.clip(targets, 0.0, headroom)
+        per_outcome = two_period_supply_cost(agg_peak - shift, agg_offpeak + shift, periods, supply)
+        return float(thetas_arr @ capacities + scenarios.probs @ per_outcome)
+
+    return objective
 
 
 def _optimality_residual(
@@ -293,7 +296,8 @@ def solve_so(
     demand = np.ascontiguousarray(scenarios.peak.T)
     bound = np.zeros_like(demand)
     users = list(enumerate(zip(thetas_arr.tolist(), demand, bound)))
-    obj = _objective(scenarios, thetas_arr, periods, supply, capacities)
+    objective = _objective(scenarios, thetas_arr, periods, supply)
+    obj = objective(capacities)
     converged = False
     sweeps = 0
     for sweeps in range(1, settings.max_iterations + 1):
@@ -308,7 +312,7 @@ def solve_so(
             capacities[i] = new_c
             np.minimum(new_c, demand_i, out=bound_i)
             np.add(rest, bound_i, out=total)
-        new_obj = _objective(scenarios, thetas_arr, periods, supply, capacities)
+        new_obj = objective(capacities)
         stalled = abs(obj - new_obj) <= settings.tolerance * max(1.0, abs(new_obj))
         obj = new_obj
         if moved == 0.0 or stalled:
@@ -356,16 +360,13 @@ def brute_force_so(
     mesh = np.meshgrid(*grids, indexing="ij")
     combos = np.stack([m.ravel() for m in mesh], axis=1)
     targets = _shift_targets(scenarios, periods)
+    agg_peak, agg_offpeak = scenarios.aggregate_peak(), scenarios.aggregate_offpeak()
     cost = combos @ thetas_arr
     expected = np.zeros(len(combos))
     for w in range(scenarios.n_outcomes):
         headroom = np.minimum(combos, scenarios.peak[w][None, :]).sum(axis=1)
         shift = np.clip(targets[w], 0.0, headroom)
-        per = supply_cost_period(
-            scenarios.aggregate_peak()[w] - shift, periods.h_peak, supply
-        ) + supply_cost_period(
-            scenarios.aggregate_offpeak()[w] + shift, periods.h_offpeak, supply
-        )
+        per = two_period_supply_cost(agg_peak[w] - shift, agg_offpeak[w] + shift, periods, supply)
         expected += scenarios.probs[w] * per
     cost = cost + expected
     best = int(np.argmin(cost))
@@ -384,11 +385,8 @@ def so_zero_cost(
     Returns the per-outcome aggregate shift and the expected supply cost.
     """
     shift = np.maximum(_shift_targets(scenarios, periods), 0.0)
-    per_outcome = supply_cost_period(
-        scenarios.aggregate_peak() - shift, periods.h_peak, supply
-    ) + supply_cost_period(
-        scenarios.aggregate_offpeak() + shift, periods.h_offpeak, supply
-    )
+    peak, offpeak = scenarios.aggregate_peak() - shift, scenarios.aggregate_offpeak() + shift
+    per_outcome = two_period_supply_cost(peak, offpeak, periods, supply)
     return shift, float(scenarios.probs @ per_outcome)
 
 

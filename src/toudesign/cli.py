@@ -1,12 +1,11 @@
 """Command line front end: ingest, optimize, sweep, benchmark, verify.
 
 Exit codes: 0 success, 2 invalid input, 3 invariant violation, 4 solver
-non-convergence. Every command that returns, also after a failed check,
-writes a run_meta.json with the resolved configuration snapshot, the
-outputs written and its exit status; a command ended by an exception
-(invalid input, a cost-ordering violation, non-convergence) reports on
-stderr only. Result tables carry no timestamps so identical configuration
-and seed reproduce identical files.
+non-convergence. Once the configuration has resolved, every command writes
+a run_meta.json with the configuration snapshot, the outputs written and its
+exit status, also when a check fails or an exception ends it; an invalid
+configuration reports on stderr only. Result tables carry no timestamps so
+identical configuration and seed reproduce identical files.
 """
 
 from __future__ import annotations
@@ -216,20 +215,21 @@ def _verify_grid(result: PricingResult, cfg, pricing_scen, pricing_specs, fracti
     return None
 
 
-def cmd_ingest(cfg: ExperimentConfig, out: Path, seed: int) -> int:
+def cmd_ingest(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path]) -> int:
     scenarios = cfg.load_user_scenarios(seed)
     path = out / "scenarios.csv"
     scenarios.to_csv(path)
-    _write_meta(out, "ingest", cfg, seed, [path], 0)
+    outputs.append(path)
     print(f"wrote {path} ({scenarios.n_outcomes} outcomes, {scenarios.n_entities} entities)")
     return 0
 
 
-def cmd_optimize(cfg: ExperimentConfig, out: Path, seed: int, scheme: str, verify_grid: bool) -> int:
+def cmd_optimize(
+    cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path], scheme: str, verify_grid: bool
+) -> int:
     user_scenarios = cfg.load_user_scenarios(seed)
     grouping = cfg.groupings(user_scenarios.entities)[0]
     schemes = ["pt", "pi"] if scheme == "both" else [scheme]
-    outputs = []
     extended = _is_extended(cfg)
     for sch in schemes:
         result = _optimize_one(cfg, user_scenarios, grouping, sch)
@@ -239,7 +239,7 @@ def cmd_optimize(cfg: ExperimentConfig, out: Path, seed: int, scheme: str, verif
         _write_trace(trace_path, result, extended)
         resp_path = out / f"responses_{sch}.csv"
         _write_responses(resp_path, result)
-        outputs += [base, trace_path, resp_path]
+        outputs.extend([base, trace_path, resp_path])
         print(
             f"{sch}: p_delta={result.best_price.p_delta:.6g} "
             f"social_cost={result.social_cost.total:.6g} "
@@ -260,14 +260,12 @@ def cmd_optimize(cfg: ExperimentConfig, out: Path, seed: int, scheme: str, verif
             )
             if failure:
                 print(f"grid check FAILED for {sch}: {failure}", file=sys.stderr)
-                _write_meta(out, "optimize", cfg, seed, outputs, 3)
                 return 3
             print(f"grid check passed for {sch}")
-    _write_meta(out, "optimize", cfg, seed, outputs, 0)
     return 0
 
 
-def cmd_benchmark(cfg: ExperimentConfig, out: Path, seed: int) -> int:
+def cmd_benchmark(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path]) -> int:
     user_scenarios = cfg.load_user_scenarios(seed)
     grouping = cfg.groupings(user_scenarios.entities)[0]
     periods, supply = cfg.periods(), cfg.supply_params()
@@ -285,15 +283,14 @@ def cmd_benchmark(cfg: ExperimentConfig, out: Path, seed: int) -> int:
         "pt": validate_structure_pricing(pt.responses, thetas, user_scenarios),
         "pi": validate_structure_pricing(pi.responses, thetas, user_scenarios),
     }
-    outputs = [out / "ratios.json", out / "so_plan.json", out / "structure.json"]
-    _write_json(outputs[0], ratios.to_json_dict())
-    _write_json(outputs[1], plan.to_json_dict())
+    paths = [out / "ratios.json", out / "so_plan.json", out / "structure.json"]
+    _write_json(paths[0], ratios.to_json_dict())
+    _write_json(paths[1], plan.to_json_dict())
     _write_json(
-        outputs[2],
+        paths[2],
         {k: {"ok": r.ok, "violations": r.violations} for k, r in reports.items()},
     )
-    status = 0 if all(r.ok for r in reports.values()) else 3
-    _write_meta(out, "benchmark", cfg, seed, outputs, status)
+    outputs.extend(paths)
     print(
         f"kappa_pt={ratios.kappa_pt:.6f} kappa_pi={ratios.kappa_pi:.6f} "
         f"kappa_no={ratios.kappa_no:.6f}"
@@ -370,7 +367,7 @@ _KAPPA_AXES = {
 }
 
 
-def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int, axis: str) -> int:
+def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path], axis: str) -> int:
     user_scenarios = cfg.load_user_scenarios(seed)
     groupings = cfg.groupings(user_scenarios.entities)
     grid = getattr(cfg.sweeps, axis, None) if axis != "lambda" else None
@@ -443,7 +440,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int, axis: str) -> int:
         )
     else:
         raise InputError(f"unknown sweep axis {axis!r}")
-    _write_meta(out, f"sweep:{axis}", cfg, seed, [path], 0)
+    outputs.append(path)
     print(f"wrote {path}")
     return 0
 
@@ -553,7 +550,7 @@ def _random_small_instance(rng: np.random.Generator):
     return scen, specs
 
 
-def cmd_verify(cfg: ExperimentConfig, out: Path, seed: int) -> int:
+def cmd_verify(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path]) -> int:
     failures = []
     results = {}
     for name, ok, detail in _verify_checks(cfg, seed):
@@ -562,9 +559,8 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, seed: int) -> int:
         if not ok:
             failures.append(name)
     _write_json(out / "verify_report.json", results)
-    status = 3 if failures else 0
-    _write_meta(out, "verify", cfg, seed, [out / "verify_report.json"], status)
-    return status
+    outputs.append(out / "verify_report.json")
+    return 3 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -612,29 +608,39 @@ def main(argv=None) -> int:
             if args.config
             else ExperimentConfig()
         )
-        seed = cfg.seed if args.seed is None else args.seed
-        out = args.out
-        out.mkdir(parents=True, exist_ok=True)
-        if args.command == "ingest":
-            return cmd_ingest(cfg, out, seed)
-        if args.command == "optimize":
-            return cmd_optimize(cfg, out, seed, args.scheme, args.verify_grid)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out, seed, args.axis)
-        if args.command == "benchmark":
-            return cmd_benchmark(cfg, out, seed)
-        if args.command == "verify":
-            return cmd_verify(cfg, out, seed)
-        raise InputError(f"unknown command {args.command!r}")
-    except OrderingViolationError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 3
-    except ConvergenceError as exc:
-        print(f"solver did not converge: {exc}", file=sys.stderr)
-        return 4
+        args.out.mkdir(parents=True, exist_ok=True)
     except (InputError, OSError, yaml.YAMLError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
+    seed = cfg.seed if args.seed is None else args.seed
+    out = args.out
+    outputs: list[Path] = []
+    command = args.command
+    try:
+        if command == "ingest":
+            status = cmd_ingest(cfg, out, seed, outputs)
+        elif command == "optimize":
+            status = cmd_optimize(cfg, out, seed, outputs, args.scheme, args.verify_grid)
+        elif command == "sweep":
+            command = f"sweep:{args.axis}"
+            status = cmd_sweep(cfg, out, seed, outputs, args.axis)
+        elif command == "benchmark":
+            status = cmd_benchmark(cfg, out, seed, outputs)
+        elif command == "verify":
+            status = cmd_verify(cfg, out, seed, outputs)
+        else:
+            raise InputError(f"unknown command {command!r}")
+    except OrderingViolationError as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        status = 3
+    except ConvergenceError as exc:
+        print(f"solver did not converge: {exc}", file=sys.stderr)
+        status = 4
+    except (InputError, OSError) as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        status = 2
+    _write_meta(out, command, cfg, seed, outputs, status)
+    return status
 
 
 if __name__ == "__main__":

@@ -127,6 +127,16 @@ def supply_cost_period(load, hours: float, params: SupplyCostParams):
     return float(cost) if cost.ndim == 0 else cost
 
 
+def two_period_supply_cost(
+    peak_load, offpeak_load, periods: PeriodStructure, params: SupplyCostParams
+):
+    """Supply cost of serving peak and off-peak energy, each period at
+    constant power."""
+    return supply_cost_period(peak_load, periods.h_peak, params) + supply_cost_period(
+        offpeak_load, periods.h_offpeak, params
+    )
+
+
 def _response_arrays(
     scenarios: ScenarioSet,
     specs: Mapping[str, "StorageSpec"],
@@ -212,9 +222,7 @@ def social_cost(
     )
     peak_load = (scenarios.peak - shifted - losses * charge).sum(axis=1)
     off_load = (scenarios.offpeak + shifted + charge).sum(axis=1)
-    per_outcome = supply_cost_period(
-        peak_load, periods.h_peak, supply
-    ) + supply_cost_period(off_load, periods.h_offpeak, supply)
+    per_outcome = two_period_supply_cost(peak_load, off_load, periods, supply)
     expected_supply = float(scenarios.probs @ per_outcome)
     investment = float(thetas @ caps)
     degradation = float(scenarios.probs @ (charge @ (taus * (1.0 + losses))))
@@ -228,9 +236,9 @@ def no_storage_cost(
     scenarios: ScenarioSet, periods: PeriodStructure, supply: SupplyCostParams
 ) -> SocialCostBreakdown:
     """Social cost with no storage and no demand shifting at all."""
-    per_outcome = supply_cost_period(
-        scenarios.aggregate_peak(), periods.h_peak, supply
-    ) + supply_cost_period(scenarios.aggregate_offpeak(), periods.h_offpeak, supply)
+    per_outcome = two_period_supply_cost(
+        scenarios.aggregate_peak(), scenarios.aggregate_offpeak(), periods, supply
+    )
     return SocialCostBreakdown.from_parts(
         0.0, 0.0, 0.0, float(scenarios.probs @ per_outcome)
     )
@@ -255,27 +263,15 @@ def approximation_gap(
         flat = [h for w in windows for h in w]
         if sorted(flat) != list(range(24)) or not all(windows):
             raise InputError("period windows must be non-empty and partition hours 0..23")
-    days = table.days
-    entities = table.entities
-    by_key = {(r.day, r.entity): r for r in table.rows}
-    hourly_total = 0.0
-    period_total = 0.0
-    for day in days:
-        profile = np.zeros(24)
-        for entity in entities:
-            row = by_key.get((day, entity))
-            if row is None:
-                raise InputError(f"missing load row for day={day!r}, entity={entity!r}")
-            profile += row.net()
-        hourly_total += float(
-            np.sum(supply.alpha * profile**2 + supply.beta * profile + supply.gamma)
-        )
-        for window in windows:
-            period_total += supply_cost_period(
-                float(profile[window].sum()), len(window), supply
-            )
-    hourly_total /= len(days)
-    period_total /= len(days)
+    profile = table.net.sum(axis=1)  # system net load, one row per day
+    hourly = supply.alpha * profile**2 + supply.beta * profile + supply.gamma
+    hourly_total = float(hourly.sum(axis=1).mean())
+    period_total = float(
+        sum(
+            supply_cost_period(profile[:, window].sum(axis=1), len(window), supply)
+            for window in windows
+        ).mean()
+    )
     if hourly_total == 0:
         raise InputError("hourly supply cost is zero; the gap is undefined")
     return abs(period_total - hourly_total) / hourly_total

@@ -9,7 +9,10 @@ functions of immutable inputs; generators are deterministic under a seed.
 from __future__ import annotations
 
 import csv
+import math
+from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -198,94 +201,98 @@ class ScenarioSet:
         return cls(tuple(entities), np.array(probs), np.array(peak), np.array(offpeak))
 
 
-@dataclass(frozen=True)
-class LoadRow:
-    """One (day, entity) record of 24 hourly net-load and solar values in MWh."""
-
-    day: str
-    entity: str
-    load: np.ndarray
-    solar: np.ndarray
-    solar_scale: float = 1.0
-
-    def __post_init__(self):
-        load = _frozen_array(self.load)
-        solar = _frozen_array(self.solar)
-        if load.shape != (24,) or solar.shape != (24,):
-            raise InputError(
-                f"day {self.day!r}, entity {self.entity!r}: expected 24 hourly values"
-            )
-        if not (np.all(np.isfinite(load)) and np.all(np.isfinite(solar))):
-            raise InputError(
-                f"day {self.day!r}, entity {self.entity!r}: non-finite hourly value"
-            )
-        if not np.isfinite(self.solar_scale) or self.solar_scale < 0:
-            raise InputError("solar scale factor must be finite and >= 0")
-        object.__setattr__(self, "load", load)
-        object.__setattr__(self, "solar", solar)
-
-    def net(self) -> np.ndarray:
-        """Hourly net load with surplus solar curtailed (clamped at zero)."""
-        return np.maximum(self.load - self.solar * self.solar_scale, 0.0)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HourlyLoadTable:
-    rows: tuple[LoadRow, ...]
+    """Hourly net load in MWh on a full (day, entity) grid.
+
+    net has shape (n_days, n_entities, 24), indexed by days and entities
+    (sorted and unique when read by from_csv); surplus solar is already
+    curtailed, so every value is finite and non-negative.
+    """
+
+    days: tuple[str, ...]
+    entities: tuple[str, ...]
+    net: np.ndarray
 
     def __post_init__(self):
-        rows = tuple(self.rows)
-        if not rows:
+        if not self.days or not self.entities:
             raise InputError("load table is empty")
-        keys = [(r.day, r.entity) for r in rows]
-        if len(set(keys)) != len(keys):
-            dup = next(k for k in keys if keys.count(k) > 1)
-            raise InputError(f"duplicate load row for day={dup[0]!r}, entity={dup[1]!r}")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def days(self) -> list[str]:
-        return sorted({r.day for r in self.rows})
-
-    @property
-    def entities(self) -> list[str]:
-        return sorted({r.entity for r in self.rows})
+        net = _frozen_array(self.net)
+        shape = (len(self.days), len(self.entities), 24)
+        if net.shape != shape:
+            raise InputError(f"net load must have shape {shape}, got {net.shape}")
+        if not np.all(np.isfinite(net)) or np.any(net < 0):
+            raise InputError("net load must be finite and >= 0")
+        object.__setattr__(self, "days", tuple(self.days))
+        object.__setattr__(self, "entities", tuple(self.entities))
+        object.__setattr__(self, "net", net)
 
     @classmethod
     def from_csv(cls, path, units: str = "mwh", solar_scale: float = 1.0) -> "HourlyLoadTable":
         """Read rows `day,entity,h0..h23[,s0..s23]`; missing solar means zero.
 
         units may be "mwh" or "kwh"; kWh values are converted on read so the
-        table always carries MWh.
+        table always carries MWh. The net load of an hour is
+        max(load - solar * solar_scale, 0). Every (day, entity) cell must
+        appear exactly once.
         """
         if units not in ("mwh", "kwh"):
             raise InputError(f"unknown unit {units!r}, expected 'mwh' or 'kwh'")
+        if not np.isfinite(solar_scale) or solar_scale < 0:
+            raise InputError("solar scale factor must be finite and >= 0")
         factor = 1.0 if units == "mwh" else 1e-3
         load_cols = [f"h{i}" for i in range(24)]
         solar_cols = [f"s{i}" for i in range(24)]
-        rows = []
+        buffer = array("d")  # each row's load values, then its solar values
+        keys = []
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            fields = reader.fieldnames or []
-            if "day" not in fields or "entity" not in fields:
+            reader = csv.reader(fh)
+            # the last of repeated column names wins, as with csv.DictReader
+            col = {name: i for i, name in enumerate(next(reader, None) or [])}
+            if "day" not in col or "entity" not in col:
                 raise InputError("load csv must have 'day' and 'entity' columns")
-            missing = [c for c in load_cols if c not in fields]
+            missing = [c for c in load_cols if c not in col]
             if missing:
                 raise InputError(f"load csv is missing hourly columns {missing}")
-            has_solar = all(c in fields for c in solar_cols)
-            for lineno, row in enumerate(reader, start=2):
+            has_solar = all(c in col for c in solar_cols)
+            pick = itemgetter(*(col[c] for c in load_cols + (solar_cols if has_solar else [])))
+            day_col, entity_col = col["day"], col["entity"]
+            for lineno, row in enumerate(filter(None, reader), start=2):
                 try:
-                    load = np.array([float(row[c]) for c in load_cols]) * factor
-                    if has_solar:
-                        solar = np.array([float(row[c]) for c in solar_cols]) * factor
-                    else:
-                        solar = np.zeros(24)
-                except (TypeError, ValueError):
+                    hourly = list(map(float, pick(row)))
+                    key = (row[day_col], row[entity_col])
+                except (IndexError, ValueError):
                     raise InputError(f"{path}:{lineno}: non-numeric hourly value") from None
-                rows.append(
-                    LoadRow(row["day"], row["entity"], load, solar, solar_scale)
-                )
-        return cls(tuple(rows))
+                if not all(map(math.isfinite, hourly)):
+                    raise InputError(
+                        f"day {key[0]!r}, entity {key[1]!r}: non-finite hourly value"
+                    )
+                buffer.extend(hourly)
+                keys.append(key)
+        if not keys:
+            raise InputError("load table is empty")
+        days = sorted({d for d, _ in keys})
+        entities = sorted({e for _, e in keys})
+        day_index = {d: i for i, d in enumerate(days)}
+        entity_index = {e: j for j, e in enumerate(entities)}
+        cells = np.array([day_index[d] * len(entities) + entity_index[e] for d, e in keys])
+        _, first, counts = np.unique(cells, return_index=True, return_counts=True)
+        if counts.max() > 1:
+            day, entity = keys[int(first[counts > 1].min())]
+            raise InputError(f"duplicate load row for day={day!r}, entity={entity!r}")
+        if len(keys) < len(days) * len(entities):
+            gap = int(np.setdiff1d(np.arange(len(days) * len(entities)), cells)[0])
+            day, entity = days[gap // len(entities)], entities[gap % len(entities)]
+            raise InputError(f"missing load row for day={day!r}, entity={entity!r}")
+        # Unit conversion and solar netting work in place on the buffer.
+        rows = np.frombuffer(buffer).reshape(len(keys), -1)
+        rows *= factor
+        net = rows[:, :24]
+        if has_solar:
+            net -= rows[:, 24:] * solar_scale
+        np.maximum(net, 0.0, out=net)
+        net = net[np.argsort(cells)].reshape(len(days), len(entities), 24)
+        return cls(days, entities, net)
 
 
 def ingest_hourly_loads(table: HourlyLoadTable, periods: PeriodStructure) -> ScenarioSet:
@@ -294,24 +301,12 @@ def ingest_hourly_loads(table: HourlyLoadTable, periods: PeriodStructure) -> Sce
     Each day becomes one equiprobable outcome; an entity's peak demand is
     its clamped net load summed over the peak hours, off-peak analogously.
     """
-    days = table.days
-    entities = table.entities
-    by_key = {(r.day, r.entity): r for r in table.rows}
-    for day in days:
-        for entity in entities:
-            if (day, entity) not in by_key:
-                raise InputError(f"missing load row for day={day!r}, entity={entity!r}")
-    peak_idx = sorted(periods.peak_hours)
-    off_idx = sorted(periods.offpeak_hours)
-    peak = np.empty((len(days), len(entities)))
-    offpeak = np.empty_like(peak)
-    for i, day in enumerate(days):
-        for j, entity in enumerate(entities):
-            net = by_key[(day, entity)].net()
-            peak[i, j] = net[peak_idx].sum()
-            offpeak[i, j] = net[off_idx].sum()
-    probs = np.full(len(days), 1.0 / len(days))
-    return ScenarioSet(tuple(entities), probs, peak, offpeak)
+    # np.take keeps each cell's hours contiguous, so every sum adds the same
+    # values in the same order as summing that cell's hours on their own.
+    peak = np.take(table.net, sorted(periods.peak_hours), axis=2).sum(axis=2)
+    offpeak = np.take(table.net, sorted(periods.offpeak_hours), axis=2).sum(axis=2)
+    probs = np.full(len(table.days), 1.0 / len(table.days))
+    return ScenarioSet(table.entities, probs, peak, offpeak)
 
 
 def aggregate_by_type(s: ScenarioSet, grouping: Mapping[str, str]) -> ScenarioSet:
@@ -423,8 +418,10 @@ def reduce_scenarios(s: ScenarioSet, target: int) -> ScenarioSet:
     if target == n:
         return s
     vectors = np.hstack([s.peak, s.offpeak])
-    diff = vectors[:, None, :] - vectors[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
+    # One row at a time, so memory stays O(n^2) rather than O(n^2 entities).
+    dist = np.empty((n, n))
+    for w in range(n):
+        dist[w] = np.sqrt(((vectors - vectors[w]) ** 2).sum(axis=1))
     probs = s.probs
     kept: list[int] = []
     # Forward selection: greedily add the outcome that most reduces the
@@ -438,13 +435,9 @@ def reduce_scenarios(s: ScenarioSet, target: int) -> ScenarioSet:
         pick = int(np.argmin(cand_cost))
         kept.append(pick)
         min_dist = np.minimum(min_dist, dist[:, pick])
-    kept_sorted = sorted(kept)
-    new_probs = np.zeros(len(kept_sorted))
-    kept_dist = dist[:, kept_sorted]
-    nearest = np.argmin(kept_dist, axis=1)
-    for w in range(n):
-        new_probs[nearest[w]] += probs[w]
-    keep_idx = np.array(kept_sorted)
+    keep_idx = np.array(sorted(kept))
+    nearest = np.argmin(dist[:, keep_idx], axis=1)
+    new_probs = np.bincount(nearest, weights=probs, minlength=target)
     return ScenarioSet(
         s.entities, new_probs, s.peak[keep_idx], s.offpeak[keep_idx]
     )

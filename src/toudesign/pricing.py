@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .costs import SocialCostBreakdown, SupplyCostParams, social_cost, supply_cost_period
+from .costs import SocialCostBreakdown, SupplyCostParams, social_cost, two_period_supply_cost
 from .demand import PeriodStructure, ScenarioSet
 from .errors import InputError
 from .response import (
@@ -340,9 +340,7 @@ def _curve_block(scenarios, specs, periods, supply, pds, p_offpeak, elastic_frac
         off_load += q_sel + charge_sel
         investment += spec.theta * spec.eta_c * cap_sel
         degradation += spec.tau * (1.0 + loss) * (charge_sel @ probs)
-    per_outcome = supply_cost_period(
-        peak_load, periods.h_peak, supply
-    ) + supply_cost_period(off_load, periods.h_offpeak, supply)
+    per_outcome = two_period_supply_cost(peak_load, off_load, periods, supply)
     return investment + degradation + shift_cost + per_outcome @ probs
 
 

@@ -405,8 +405,10 @@ def _coordinate_case(theta, demand, rest, offpeak, probs, extra=None):
     thetas = np.array([theta, 1.0, 1.0])
     cap_rest = float(rest.max())
 
+    objective = _objective(scen, thetas, HALF_DAY, supply)
+
     def along(x):
-        return _objective(scen, thetas, HALF_DAY, supply, np.array([x, cap_rest, 0.0]))
+        return objective(np.array([x, cap_rest, 0.0]))
 
     return t, along, np.minimum(demand, targets - rest)
 

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import yaml
 
-from toudesign import ScenarioSet
+from toudesign import PeriodStructure, ScenarioSet
 from toudesign.cli import main
+
+from conftest import hourly_loop_oracle, make_sample_loads
 
 SMALL_CONFIG = {
     "synthetic": {"n_types": 2, "users_per_type": 2, "n_outcomes": 4, "peak_range_mwh": 6.0},
@@ -53,6 +55,18 @@ def test_ingest_roundtrip(tmp_path):
     assert meta["command"] == "ingest"
     assert meta["exit_status"] == 0
     assert meta["config"]["storage"]["theta_bar"] == 0.6
+
+
+def test_ingest_real_shaped_loads_in_kwh_with_solar(tmp_path):
+    loads = make_sample_loads(tmp_path, users=6, days=20)
+    cfg = write_config(
+        tmp_path, {"data": {"loads_csv": str(loads), "units": "kwh", "solar_scale": 0.5}}
+    )
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 0
+    periods = PeriodStructure(frozenset(SMALL_CONFIG["peak_hours"]))
+    expected, _ = hourly_loop_oracle(loads, periods, units="kwh", solar_scale=0.5)
+    assert ScenarioSet.from_csv(out / "scenarios.csv").equals(expected)
 
 
 def test_optimize_writes_results_and_passes_grid_check(tmp_path):
@@ -225,6 +239,21 @@ def test_sweep_elastic_requires_cost(tmp_path):
     out = tmp_path / "out"
     code = main(["sweep", "--config", str(cfg), "--out", str(out), "--axis", "elastic_fraction"])
     assert code == 2
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["command"] == "sweep:elastic_fraction"
+    assert meta["exit_status"] == 2
+    assert meta["outputs"] == []
+
+
+def test_benchmark_non_convergence_writes_run_meta(tmp_path):
+    cfg = write_config(tmp_path, {"solver": {"max_iterations": 1}})
+    out = tmp_path / "out"
+    assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 4
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["command"] == "benchmark"
+    assert meta["exit_status"] == 4
+    assert meta["outputs"] == []
+    assert not (out / "so_plan.json").exists()
 
 
 def test_sweep_elastic_fraction(tmp_path):
@@ -258,6 +287,8 @@ def test_bad_config_key_is_invalid_input(tmp_path):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("storage:\n  thetabar: 3\n")
     assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    # no resolved configuration, so nothing to record
+    assert not (tmp_path / "o" / "run_meta.json").exists()
 
 
 def test_extended_mode_requires_p_o_range(tmp_path):

@@ -10,7 +10,6 @@ from toudesign import (
     HourlyLoadTable,
     InfeasibleResponseError,
     InputError,
-    LoadRow,
     ResponseProfile,
     ScenarioSet,
     SocialCostBreakdown,
@@ -254,10 +253,12 @@ def test_no_storage_cost_matches_manual():
     assert sc.total == pytest.approx(manual)
 
 
+def one_day_table(load):
+    return HourlyLoadTable(("d",), ("h",), np.asarray(load, dtype=float)[None, None, :])
+
+
 def flat_day_table(value=1.0):
-    return HourlyLoadTable(
-        (LoadRow("d", "h", np.full(24, value), np.zeros(24)),)
-    )
+    return one_day_table(np.full(24, value))
 
 
 def test_approximation_gap_zero_for_constant_loads():
@@ -270,7 +271,7 @@ def test_approximation_gap_single_spike():
     # hourly cost L^2 vs period cost L^2 / 12.
     load = np.zeros(24)
     load[3] = 5.0
-    table = HourlyLoadTable((LoadRow("d", "h", load, np.zeros(24)),))
+    table = one_day_table(load)
     gap = approximation_gap(table, HALF_DAY, SupplyCostParams(1.0))
     hourly = 25.0
     two_period = 25.0 / 12
@@ -281,14 +282,14 @@ def test_approximation_gap_single_spike():
 def test_approximation_gap_three_period_partition():
     load = np.zeros(24)
     load[3] = 5.0
-    table = HourlyLoadTable((LoadRow("d", "h", load, np.zeros(24)),))
+    table = one_day_table(load)
     windows = [range(0, 8), range(8, 16), range(16, 24)]
     gap = approximation_gap(table, windows, SupplyCostParams(1.0))
     assert gap == pytest.approx(1.0 - 1.0 / 8)
 
 
 def test_approximation_gap_undefined_for_zero_load():
-    table = HourlyLoadTable((LoadRow("d", "h", np.zeros(24), np.zeros(24)),))
+    table = one_day_table(np.zeros(24))
     with pytest.raises(InputError):
         approximation_gap(table, HALF_DAY, SupplyCostParams(1.0))
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,9 @@ from hypothesis import strategies as st
 from toudesign import (
     HourlyLoadTable,
     InputError,
-    LoadRow,
     PeriodStructure,
+    SupplyCostParams,
+    approximation_gap,
     ScenarioSet,
     adjust_variance,
     aggregate_by_type,
@@ -18,11 +21,14 @@ from toudesign import (
     synthetic_grouping,
 )
 
-from conftest import random_scenarios
+from conftest import (
+    hourly_loop_oracle,
+    make_sample_loads,
+    random_scenarios,
+    write_loads,
+)
 
-
-def table_from(rows):
-    return HourlyLoadTable(tuple(rows))
+ZEROS = np.zeros(24)
 
 
 def test_period_structure_counts():
@@ -53,69 +59,85 @@ def test_scenario_set_validation():
 
 
 def test_ingest_constant_load():
-    rows = [
-        LoadRow(day, "house", np.ones(24), np.zeros(24))
-        for day in ("d1", "d2")
-    ]
-    scen = ingest_hourly_loads(table_from(rows), PeriodStructure(frozenset(range(6))))
+    table = HourlyLoadTable(("d1", "d2"), ("house",), np.ones((2, 1, 24)))
+    scen = ingest_hourly_loads(table, PeriodStructure(frozenset(range(6))))
     assert scen.n_outcomes == 2
     np.testing.assert_allclose(scen.probs, [0.5, 0.5])
     np.testing.assert_allclose(scen.peak[:, 0], [6.0, 6.0])
     np.testing.assert_allclose(scen.offpeak[:, 0], [18.0, 18.0])
 
 
-def test_ingest_clamps_surplus_solar():
+def test_ingest_clamps_surplus_solar(tmp_path):
     load = np.ones(24)
     solar = np.zeros(24)
     solar[3] = 5.0  # exceeds the 1 MWh load in hour 3
+    path = write_loads(tmp_path / "loads.csv", [("d", "h", load, solar)])
     scen = ingest_hourly_loads(
-        table_from([LoadRow("d", "h", load, solar)]),
-        PeriodStructure(frozenset(range(6))),
+        HourlyLoadTable.from_csv(path), PeriodStructure(frozenset(range(6)))
     )
     # hour 3 contributes 0, not -4
     assert scen.peak[0, 0] == pytest.approx(5.0)
     assert scen.offpeak[0, 0] == pytest.approx(18.0)
 
 
-def test_ingest_solar_scale_applies_before_clamping():
+def test_ingest_solar_scale_applies_before_clamping(tmp_path):
     load = np.full(24, 2.0)
     solar = np.full(24, 0.5)
-    row = LoadRow("d", "h", load, solar, solar_scale=2.0)
-    scen = ingest_hourly_loads(
-        table_from([row]), PeriodStructure(frozenset(range(12)))
-    )
+    path = write_loads(tmp_path / "loads.csv", [("d", "h", load, solar)])
+    table = HourlyLoadTable.from_csv(path, solar_scale=2.0)
+    scen = ingest_hourly_loads(table, PeriodStructure(frozenset(range(12))))
     # net = 2 - 2*0.5 = 1 per hour
     assert scen.peak[0, 0] == pytest.approx(12.0)
+    with pytest.raises(InputError, match="solar scale"):
+        HourlyLoadTable.from_csv(path, solar_scale=-1.0)
 
 
-def test_ingest_missing_cell_reports_key():
-    rows = [
-        LoadRow("d1", "a", np.ones(24), np.zeros(24)),
-        LoadRow("d1", "b", np.ones(24), np.zeros(24)),
-        LoadRow("d2", "a", np.ones(24), np.zeros(24)),
-    ]
-    with pytest.raises(InputError, match="d2.*b|b.*d2"):
-        ingest_hourly_loads(table_from(rows), PeriodStructure(frozenset(range(6))))
+def test_ingest_missing_cell_reports_key(tmp_path):
+    rows = [("d1", "a", np.ones(24), ZEROS), ("d1", "b", np.ones(24), ZEROS)]
+    rows += [("d2", "a", np.ones(24), ZEROS), ("d3", "a", np.ones(24), ZEROS)]
+    path = write_loads(tmp_path / "loads.csv", rows)
+    # the first missing cell in (day, entity) order, of two
+    with pytest.raises(InputError, match="missing load row for day='d2', entity='b'"):
+        HourlyLoadTable.from_csv(path)
 
 
-def test_ingest_rejects_non_finite():
+def test_ingest_rejects_non_finite(tmp_path):
     load = np.ones(24)
     load[5] = np.nan
+    solar = np.zeros(24)
+    solar[7] = np.inf
+    for row in (("d", "h", load, ZEROS), ("d", "h", np.ones(24), solar)):
+        path = write_loads(tmp_path / "loads.csv", [row])
+        with pytest.raises(InputError, match="day 'd', entity 'h': non-finite"):
+            HourlyLoadTable.from_csv(path)
     with pytest.raises(InputError):
-        table_from([LoadRow("d", "h", load, np.zeros(24))])
+        HourlyLoadTable(("d",), ("h",), load[None, None, :])
 
 
-def test_ingest_energy_balance():
+def test_ingest_energy_balance(tmp_path):
     rng = np.random.default_rng(0)
     rows = [
-        LoadRow(f"d{i}", "h", rng.uniform(0, 3, 24), rng.uniform(0, 1.5, 24))
+        (f"d{i}", "h", rng.uniform(0, 3, 24), rng.uniform(0, 1.5, 24))
         for i in range(5)
     ]
     periods = PeriodStructure(frozenset({0, 7, 9, 18, 19, 20, 21}))
-    scen = ingest_hourly_loads(table_from(rows), periods)
-    for i, row in enumerate(rows):
-        total = row.net().sum()
+    table = HourlyLoadTable.from_csv(write_loads(tmp_path / "loads.csv", rows))
+    scen = ingest_hourly_loads(table, periods)
+    for i, (_, _, load, solar) in enumerate(rows):
+        total = np.maximum(load - solar, 0.0).sum()
         assert scen.peak[i, 0] + scen.offpeak[i, 0] == pytest.approx(total, rel=1e-12)
+
+
+def test_ingest_matches_per_cell_loop_on_sample_loads(tmp_path):
+    path = make_sample_loads(tmp_path, users=6, days=20)
+    periods = PeriodStructure(frozenset({0, 7, 9, 18, 19, 20, 21}))
+    for units, solar_scale in (("mwh", 1.0), ("kwh", 0.5)):
+        table = HourlyLoadTable.from_csv(path, units=units, solar_scale=solar_scale)
+        assert table.net.shape == (20, 6, 24)
+        expected, gap = hourly_loop_oracle(path, periods, units, solar_scale)
+        assert ingest_hourly_loads(table, periods).equals(expected)
+        got = approximation_gap(table, periods, SupplyCostParams(1.0))
+        assert got == pytest.approx(gap, rel=1e-12, abs=0)
 
 
 def test_aggregate_identity_is_noop():
@@ -296,6 +318,40 @@ def test_reduce_is_deterministic():
     assert a.equals(b)
 
 
+def dense_reduce(s, target):
+    """reduce_scenarios with the full outcome x outcome x entity difference
+    tensor and a sequential probability merge."""
+    vectors = np.hstack([s.peak, s.offpeak])
+    diff = vectors[:, None, :] - vectors[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    kept, min_dist = [], np.full(s.n_outcomes, np.inf)
+    for _ in range(target):
+        cand_cost = s.probs @ np.minimum(min_dist[:, None], dist)
+        cand_cost[kept] = np.inf
+        kept.append(int(np.argmin(cand_cost)))
+        min_dist = np.minimum(min_dist, dist[:, kept[-1]])
+    kept = sorted(kept)
+    nearest = np.argmin(dist[:, kept], axis=1)
+    probs = np.zeros(target)
+    for w in range(s.n_outcomes):
+        probs[nearest[w]] += s.probs[w]
+    return ScenarioSet(s.entities, probs, s.peak[kept], s.offpeak[kept])
+
+
+def test_reduce_equals_dense_tensor_formula():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        n_outcomes = int(rng.integers(2, 40))
+        scen = random_scenarios(rng, int(rng.integers(1, 6)), n_outcomes)
+        # repeat some outcomes, so distances tie at zero
+        rows = rng.integers(0, n_outcomes, n_outcomes + int(rng.integers(1, 10)))
+        probs = rng.uniform(0.2, 1.0, rows.size)
+        scen = ScenarioSet(scen.entities, probs / probs.sum(), scen.peak[rows], scen.offpeak[rows])
+        distinct = np.unique(rows).size
+        for target in (1, int(rng.integers(1, distinct + 1)), distinct):
+            assert reduce_scenarios(scen, target).equals(dense_reduce(scen, target))
+
+
 def test_scenario_csv_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     scen = random_scenarios(rng, 3, 5)
@@ -311,5 +367,69 @@ def test_load_table_csv(tmp_path):
     line = "d1,h," + ",".join(["1000.0"] * 24)
     path.write_text(f"{header}\n{line}\n")
     table = HourlyLoadTable.from_csv(path, units="kwh")
-    assert table.rows[0].load[0] == pytest.approx(1.0)  # kWh converted to MWh
-    assert np.all(table.rows[0].solar == 0)
+    assert table.days == ("d1",) and table.entities == ("h",)
+    # kWh converted to MWh, and no solar columns means no solar
+    np.testing.assert_array_equal(table.net, np.ones((1, 1, 24)))
+
+
+def test_load_table_csv_without_solar_equals_zero_solar(tmp_path):
+    rng = np.random.default_rng(3)
+    rows = [(d, e, rng.uniform(0, 2, 24), ZEROS) for d in ("d1", "d2") for e in ("a", "b")]
+    plain = HourlyLoadTable.from_csv(write_loads(tmp_path / "plain.csv", rows, solar=False))
+    zero = HourlyLoadTable.from_csv(write_loads(tmp_path / "zero.csv", rows))
+    np.testing.assert_array_equal(plain.net, zero.net)
+    np.testing.assert_array_equal(plain.net[1, 0], rows[2][2])
+
+
+def test_load_table_csv_shuffled_columns_and_rows(tmp_path):
+    rng = np.random.default_rng(4)
+    rows = [(d, e, rng.uniform(0, 2, 24), rng.uniform(0, 1, 24)) for d in ("d2", "d1") for e in ("b", "a")]
+    reference = HourlyLoadTable.from_csv(write_loads(tmp_path / "ref.csv", rows))
+    header = ["day", "entity"] + [f"h{i}" for i in range(24)] + [f"s{i}" for i in range(24)]
+    order = rng.permutation(len(header))
+    lines = [",".join(header[k] for k in order)]
+    for day, entity, load, solar in rows:
+        cells = [day, entity] + [repr(float(v)) for v in (*load, *solar)]
+        lines.append(",".join(cells[k] for k in order))
+    path = tmp_path / "shuffled.csv"
+    path.write_text("\n".join(lines) + "\n")
+    table = HourlyLoadTable.from_csv(path)
+    assert table.days == ("d1", "d2") and table.entities == ("a", "b")
+    np.testing.assert_array_equal(table.net, reference.net)
+    np.testing.assert_array_equal(table.net[1, 1], np.maximum(rows[0][2] - rows[0][3], 0.0))
+
+
+def test_load_table_csv_rejects_duplicate_row(tmp_path):
+    rows = [(d, e, np.ones(24), ZEROS) for d, e in
+            (("d1", "a"), ("d1", "b"), ("d2", "b"), ("d2", "a"), ("d2", "b"), ("d1", "b"))]
+    path = write_loads(tmp_path / "loads.csv", rows)
+    # both repeated cells are reported by their first row: (d1, b) comes first
+    with pytest.raises(InputError, match="duplicate load row for day='d1', entity='b'"):
+        HourlyLoadTable.from_csv(path)
+
+
+def test_load_table_csv_rejects_short_and_non_numeric_rows(tmp_path):
+    path = write_loads(tmp_path / "loads.csv", [(d, "a", np.ones(24), ZEROS) for d in ("d1", "d2")])
+    lines = path.read_text().splitlines()
+    short = lines[:2] + [lines[2].rsplit(",", 1)[0]]
+    path.write_text("\n".join(short) + "\n")
+    with pytest.raises(InputError, match=re.escape(f"{path}:3: non-numeric hourly value")):
+        HourlyLoadTable.from_csv(path)
+    bad = lines[:2] + [lines[2].replace("1.0", "x", 1)]
+    path.write_text("\n".join(bad) + "\n")
+    with pytest.raises(InputError, match=re.escape(f"{path}:3: non-numeric hourly value")):
+        HourlyLoadTable.from_csv(path)
+
+
+def test_load_table_csv_rejects_missing_columns(tmp_path):
+    path = tmp_path / "loads.csv"
+    header = "day,entity," + ",".join(f"h{i}" for i in range(23))
+    path.write_text(header + "\nd1,a," + ",".join(["1.0"] * 23) + "\n")
+    with pytest.raises(InputError, match=r"missing hourly columns \['h23'\]"):
+        HourlyLoadTable.from_csv(path)
+    path.write_text("entity," + ",".join(f"h{i}" for i in range(24)) + "\n")
+    with pytest.raises(InputError, match="'day' and 'entity' columns"):
+        HourlyLoadTable.from_csv(path)
+    path.write_text("day,entity," + ",".join(f"h{i}" for i in range(24)) + "\n")
+    with pytest.raises(InputError, match="empty"):
+        HourlyLoadTable.from_csv(path)
