@@ -7,11 +7,9 @@ from .benchmark import (
     SocialPlan,
     SolverSettings,
     StructureReport,
-    brute_force_so,
     compute_ratios,
     so_zero_cost,
     solve_so,
-    tightness_instance,
     validate_structure_pricing,
     validate_structure_so,
 )
@@ -44,6 +42,7 @@ from .errors import (
     InputError,
     OrderingViolationError,
 )
+from .oracles import brute_force_so, tightness_instance
 from .pricing import (
     PricingResult,
     TouPrice,

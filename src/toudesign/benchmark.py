@@ -14,7 +14,7 @@ optimality is global optimality for this objective; every plan reports the
 largest violated one-sided partial derivative as an optimality certificate.
 
 Also provided: the zero-cost closed form, ratio reports against the pricing
-schemes, investment-structure validators and a brute-force grid oracle.
+schemes and investment-structure validators.
 """
 
 from __future__ import annotations
@@ -329,52 +329,6 @@ def solve_so(
     return plan
 
 
-def brute_force_so(
-    scenarios: ScenarioSet,
-    thetas: Mapping[str, float],
-    periods: PeriodStructure,
-    supply: SupplyCostParams,
-    grid_step: float,
-) -> SocialPlan:
-    """Exhaustive capacity-grid oracle for tiny planner instances.
-
-    Searches every combination of per-user capacities on a uniform grid from
-    zero to the user's maximum peak demand, augmented with the user's outcome
-    demand values where the objective has kinks (refining the step therefore
-    never worsens the result). The closed-form clamped aggregate charge is
-    used inside. Rejects instances with more than 3 users or 4 outcomes.
-    """
-    if grid_step <= 0:
-        raise InputError("grid_step must be > 0")
-    if scenarios.n_entities > 3 or scenarios.n_outcomes > 4:
-        raise InputError("brute force is limited to 3 users and 4 outcomes")
-    thetas_arr = np.array([float(thetas[e]) for e in scenarios.entities])
-    grids = []
-    for j in range(scenarios.n_entities):
-        hi = float(scenarios.peak[:, j].max())
-        grid = np.arange(0.0, hi + grid_step, grid_step)
-        grids.append(np.unique(np.concatenate((grid, scenarios.peak[:, j], [hi]))))
-    total = int(np.prod([g.size for g in grids]))
-    if total > 20_000_000:
-        raise InputError(f"instance too large: {total} capacity combinations")
-    mesh = np.meshgrid(*grids, indexing="ij")
-    combos = np.stack([m.ravel() for m in mesh], axis=1)
-    targets = _shift_targets(scenarios, periods)
-    agg_peak, agg_offpeak = scenarios.aggregate_peak(), scenarios.aggregate_offpeak()
-    cost = combos @ thetas_arr
-    expected = np.zeros(len(combos))
-    for w in range(scenarios.n_outcomes):
-        headroom = np.minimum(combos, scenarios.peak[w][None, :]).sum(axis=1)
-        shift = np.clip(targets[w], 0.0, headroom)
-        per = two_period_supply_cost(agg_peak[w] - shift, agg_offpeak[w] + shift, periods, supply)
-        expected += scenarios.probs[w] * per
-    cost = cost + expected
-    best = int(np.argmin(cost))
-    return _plan_from_capacities(
-        scenarios, thetas, periods, supply, combos[best], iterations=0
-    )
-
-
 def so_zero_cost(
     scenarios: ScenarioSet, periods: PeriodStructure, supply: SupplyCostParams
 ) -> tuple[np.ndarray, float]:
@@ -421,28 +375,6 @@ def _support_atol(scenarios: ScenarioSet) -> float:
     return 1e-7 * max(1.0, float(scenarios.peak.max()))
 
 
-def _prefix_violations(
-    invested: dict[str, bool],
-    thetas: Mapping[str, float],
-    exempt: set[str],
-) -> list[str]:
-    investor_costs = sorted({thetas[e] for e, inv in invested.items() if inv})
-    if not investor_costs:
-        return []
-    boundary = investor_costs[-1]
-    violations = []
-    for cost in sorted({thetas[e] for e in invested}):
-        if cost >= boundary or cost in investor_costs:
-            continue
-        users = [e for e in invested if thetas[e] == cost and e not in exempt]
-        if users:
-            violations.append(
-                f"cost level {cost} below invested level {boundary} has no investor "
-                f"(users {users})"
-            )
-    return violations
-
-
 def _validate_structure(
     capacities: Mapping[str, float],
     thetas: Mapping[str, float],
@@ -454,21 +386,30 @@ def _validate_structure(
     violations = []
     invested = {}
     exempt = set()
+    support = {e: scenarios.peak_support(e) for e in scenarios.entities}
     for e in scenarios.entities:
         c = capacities[e]
-        lo, hi = scenarios.peak_support(e)
+        lo, hi = support[e]
         invested[e] = c > atol
         if lo <= atol:
             exempt.add(e)
         if c > hi + atol:
             violations.append(f"user {e}: capacity {c} above max peak support {hi}")
-    violations.extend(_prefix_violations(invested, thetas, exempt))
     investor_costs = sorted({thetas[e] for e, inv in invested.items() if inv})
     if investor_costs:
         boundary = investor_costs[-1]
+        for cost in sorted({thetas[e] for e in invested}):
+            if cost >= boundary or cost in investor_costs:
+                continue
+            users = [e for e in invested if thetas[e] == cost and e not in exempt]
+            if users:
+                violations.append(
+                    f"cost level {cost} below invested level {boundary} has no investor "
+                    f"(users {users})"
+                )
         for e in scenarios.entities:
             c = capacities[e]
-            lo = scenarios.peak_support(e)[0]
+            lo = support[e][0]
             # A boundary class may size anywhere, so only costs below it count.
             below = thetas[e] < boundary if boundary_class else thetas[e] <= boundary
             if below and e not in exempt and c < lo - atol:
@@ -512,35 +453,3 @@ def validate_structure_pricing(
     """
     capacities = {e: r.capacity for e, r in responses.items()}
     return _validate_structure(capacities, thetas, scenarios, atol, False)
-
-
-def tightness_instance(
-    n_types: int,
-    d: float,
-    periods: PeriodStructure,
-    theta: float | None = None,
-    alpha: float = 1.0,
-) -> tuple[ScenarioSet, dict[str, StorageSpec], SupplyCostParams]:
-    """Worst-case instance for the zero-cost performance bound.
-
-    One single-user type per outcome carries peak demand d while all others
-    are idle, off-peak demand is zero, the supply cost is purely quadratic
-    and capacity is almost free. On this instance the tariff either shifts
-    everything or nothing, while the planner splits the load across both
-    periods.
-    """
-    if n_types < 1:
-        raise InputError("n_types must be >= 1")
-    if d <= 0:
-        raise InputError("d must be > 0")
-    if theta is None:
-        # negligible against the supply cost yet far above the threshold-merge
-        # tolerance of the price scan
-        theta = 1e-7 * alpha * d
-    entities = tuple(f"type{k:02d}" for k in range(n_types))
-    peak = np.zeros((n_types, n_types))
-    np.fill_diagonal(peak, d)
-    probs = np.full(n_types, 1.0 / n_types)
-    scenarios = ScenarioSet(entities, probs, peak, np.zeros_like(peak))
-    specs = {e: StorageSpec(theta=theta) for e in entities}
-    return scenarios, specs, SupplyCostParams(alpha=alpha, beta=0.0, gamma=0.0)

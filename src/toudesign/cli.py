@@ -1,5 +1,9 @@
 """Command line front end: ingest, optimize, sweep, benchmark, verify.
 
+The commands only read the configuration, call the library and write
+files; the `verify` suite and the `--verify-grid` check come from
+`toudesign.oracles`.
+
 Exit codes: 0 success, 2 invalid input, 3 invariant violation, 4 solver
 non-convergence. Once the configuration has resolved, every command writes
 a run_meta.json with the configuration snapshot, the outputs written and its
@@ -30,20 +34,17 @@ from .benchmark import (
     validate_structure_so,
 )
 from .config import ExperimentConfig
-from .costs import no_storage_cost, social_cost
-from .demand import ScenarioSet, adjust_variance, aggregate_by_type, generate_synthetic
+from .costs import no_storage_cost
+from .demand import ScenarioSet, adjust_variance, aggregate_by_type
 from .errors import ConvergenceError, InputError, OrderingViolationError
+from .oracles import grid_check, verify_suite
 from .pricing import (
     PricingResult,
     evaluate_lambda,
     optimize_price_difference,
     optimize_prices_extended,
-    social_cost_curve,
     user_specs_from_grouping,
 )
-from .response import StorageSpec, optimal_capacity_discrete
-
-GRID_CHECK_TOL = 1e-9
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -87,8 +88,12 @@ def _result_payload(result: PricingResult) -> dict:
         "scan_cost": result.scan_cost,
         "social_cost": result.social_cost.to_json_dict(),
         "capacities": {e: r.capacity for e, r in sorted(result.responses.items())},
-        "total_capacity": sum(r.capacity for r in result.responses.values()),
+        "total_capacity": _total_capacity(result),
     }
+
+
+def _total_capacity(result: PricingResult) -> float:
+    return sum(r.capacity for r in result.responses.values())
 
 
 def _write_trace(path: Path, result: PricingResult, extended: bool) -> None:
@@ -144,7 +149,9 @@ def _optimize_one(
     tau: float | None = None,
     elastic_cost="config",
     elastic_fraction: float | None = None,
-) -> PricingResult:
+) -> tuple[PricingResult, tuple]:
+    """Optimal tariff of one scheme, with the pricing instance it was found on
+    as (pricing scenarios, pricing specs, periods, supply, elastic fraction)."""
     periods = cfg.periods()
     supply = cfg.supply_params()
     fraction = (
@@ -166,53 +173,21 @@ def _optimize_one(
         raise InputError(f"unknown scheme {scheme!r}")
     if _is_extended(cfg, eta, tau):
         p_o_range, steps = _p_o_grid(cfg)
-        return optimize_prices_extended(
+        result = optimize_prices_extended(
             *args,
             p_o_range,
             steps,
             cfg.pricing.epsilon,
             elastic_fraction=fraction,
         )
-    return optimize_price_difference(
-        *args,
-        cfg.pricing.epsilon,
-        p_offpeak=cfg.pricing.p_offpeak,
-        elastic_fraction=fraction,
-    )
-
-
-def _user_thetas(
-    cfg: ExperimentConfig,
-    user_scenarios: ScenarioSet,
-    grouping: dict[str, str],
-    theta_bar: float | None = None,
-    delta_s: float | None = None,
-) -> dict[str, float]:
-    by_type = dict(zip(cfg.type_ids(), sorted(cfg.type_thetas(theta_bar, delta_s))))
-    return {e: by_type[grouping[e]] for e in user_scenarios.entities}
-
-
-def _verify_grid(result: PricingResult, cfg, pricing_scen, pricing_specs, fraction) -> str | None:
-    """Cross-check the threshold scan against a dense price grid."""
-    hi = max(pd for _, pd, _ in result.trace) * 1.2 + 1.0
-    grid = np.linspace(0.0, hi, 10_000)
-    totals = social_cost_curve(
-        pricing_scen,
-        pricing_specs,
-        cfg.periods(),
-        cfg.supply_params(),
-        grid,
-        p_offpeak=result.best_price.p_offpeak,
-        elastic_fraction=fraction,
-    )
-    best_grid = float(totals.min())
-    tol = GRID_CHECK_TOL * max(1.0, abs(best_grid))
-    if result.scan_cost > best_grid + tol:
-        return (
-            f"scan cost {result.scan_cost!r} beaten by grid minimum {best_grid!r} "
-            f"at p_delta {grid[int(np.argmin(totals))]!r}"
+    else:
+        result = optimize_price_difference(
+            *args,
+            cfg.pricing.epsilon,
+            p_offpeak=cfg.pricing.p_offpeak,
+            elastic_fraction=fraction,
         )
-    return None
+    return result, (args[0], args[1], periods, supply, fraction)
 
 
 def cmd_ingest(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path]) -> int:
@@ -232,7 +207,7 @@ def cmd_optimize(
     schemes = ["pt", "pi"] if scheme == "both" else [scheme]
     extended = _is_extended(cfg)
     for sch in schemes:
-        result = _optimize_one(cfg, user_scenarios, grouping, sch)
+        result, pricing = _optimize_one(cfg, user_scenarios, grouping, sch)
         base = out / f"result_{sch}.json"
         _write_json(base, _result_payload(result))
         trace_path = out / f"trace_{sch}.csv"
@@ -246,18 +221,8 @@ def cmd_optimize(
             f"candidates={result.n_candidates}"
         )
         if verify_grid:
-            if sch == "pt":
-                pricing_scen = aggregate_by_type(user_scenarios, grouping)
-                pricing_specs = cfg.build_specs(cfg.type_ids())
-                pricing_specs = {t: pricing_specs[t] for t in pricing_scen.entities}
-            else:
-                pricing_scen = user_scenarios
-                pricing_specs = user_specs_from_grouping(
-                    cfg.build_specs(cfg.type_ids()), user_scenarios, grouping
-                )
-            failure = _verify_grid(
-                result, cfg, pricing_scen, pricing_specs, cfg.storage.elastic_fraction
-            )
+            hi = max(pd for _, pd, _ in result.trace) * 1.2 + 1.0
+            failure = grid_check(result, np.linspace(0.0, hi, 10_000), *pricing)
             if failure:
                 print(f"grid check FAILED for {sch}: {failure}", file=sys.stderr)
                 return 3
@@ -268,16 +233,7 @@ def cmd_optimize(
 def cmd_benchmark(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path]) -> int:
     user_scenarios = cfg.load_user_scenarios(seed)
     grouping = cfg.groupings(user_scenarios.entities)[0]
-    periods, supply = cfg.periods(), cfg.supply_params()
-    settings = SolverSettings(cfg.solver.tolerance, cfg.solver.max_iterations)
-    pt = _optimize_one(cfg, user_scenarios, grouping, "pt")
-    pi = _optimize_one(cfg, user_scenarios, grouping, "pi")
-    thetas = _user_thetas(cfg, user_scenarios, grouping)
-    plan = solve_so(user_scenarios, thetas, periods, supply, settings)
-    sc_no = no_storage_cost(user_scenarios, periods, supply).total
-    ratios = compute_ratios(
-        pt.social_cost.total, pi.social_cost.total, plan.social_cost.total, sc_no
-    )
+    pt, pi, plan, ratios, thetas = _schemes(cfg, user_scenarios, grouping)
     reports = {
         "so": validate_structure_so(plan, thetas, user_scenarios),
         "pt": validate_structure_pricing(pt.responses, thetas, user_scenarios),
@@ -303,50 +259,34 @@ def cmd_benchmark(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Pat
     return 0
 
 
-def _sweep_point(cfg, user_scenarios, groupings, **overrides):
-    """PT, PI, SO and no-storage for one grid point over all groupings."""
-    periods, supply = cfg.periods(), cfg.supply_params()
+def _schemes(cfg, user_scenarios, grouping, **overrides):
+    """PT, PI and the planner at one grid point, as (pt, pi, plan, ratios,
+    per-user storage costs)."""
+    pt, _ = _optimize_one(cfg, user_scenarios, grouping, "pt", **overrides)
+    pi, (_, user_specs, periods, supply, _) = _optimize_one(
+        cfg, user_scenarios, grouping, "pi", **overrides
+    )
+    thetas = {e: spec.theta for e, spec in user_specs.items()}
     settings = SolverSettings(cfg.solver.tolerance, cfg.solver.max_iterations)
-    rows = []
-    for grouping in groupings:
-        pt = _optimize_one(cfg, user_scenarios, grouping, "pt", **overrides)
-        pi = _optimize_one(cfg, user_scenarios, grouping, "pi", **overrides)
-        thetas = _user_thetas(
-            cfg,
-            user_scenarios,
-            grouping,
-            overrides.get("theta_bar"),
-            overrides.get("delta_s"),
-        )
-        plan = solve_so(user_scenarios, thetas, periods, supply, settings)
-        sc_no = no_storage_cost(user_scenarios, periods, supply).total
-        rows.append((pt, pi, plan.social_cost.total, sc_no))
-    return rows
+    plan = solve_so(user_scenarios, thetas, periods, supply, settings)
+    sc_no = no_storage_cost(user_scenarios, periods, supply).total
+    ratios = compute_ratios(
+        pt.social_cost.total, pi.social_cost.total, plan.social_cost.total, sc_no
+    )
+    return pt, pi, plan, ratios, thetas
 
 
 def _kappa_row(axis_value: float, runs) -> list:
-    kpt, kpi, kno = [], [], []
-    pdelta, capacity = [], []
-    sc_pt, sc_pi, sc_so, sc_no = [], [], [], []
-    for pt, pi, so_total, no_total in runs:
-        ratios = compute_ratios(pt.social_cost.total, pi.social_cost.total, so_total, no_total)
-        kpt.append(ratios.kappa_pt)
-        kpi.append(ratios.kappa_pi)
-        kno.append(ratios.kappa_no)
-        pdelta.append(pt.best_price.p_delta)
-        capacity.append(sum(r.capacity for r in pt.responses.values()))
-        sc_pt.append(pt.social_cost.total)
-        sc_pi.append(pi.social_cost.total)
-        sc_so.append(so_total)
-        sc_no.append(no_total)
+    """Means over the groupings' runs, plus the spread of the ratios."""
+    ratios = [r for _, _, _, r, _ in runs]
+    kappas = [[getattr(r, k) for r in ratios] for k in ("kappa_pt", "kappa_pi", "kappa_no")]
     return [
         axis_value,
-        mean(kpt), mean(kpi), mean(kno),
-        pstdev(kpt) if len(kpt) > 1 else 0.0,
-        pstdev(kpi) if len(kpi) > 1 else 0.0,
-        pstdev(kno) if len(kno) > 1 else 0.0,
-        mean(pdelta), mean(capacity),
-        mean(sc_pt), mean(sc_pi), mean(sc_so), mean(sc_no),
+        *(mean(k) for k in kappas),
+        *(pstdev(k) if len(k) > 1 else 0.0 for k in kappas),
+        mean(pt.best_price.p_delta for pt, *_ in runs),
+        mean(_total_capacity(pt) for pt, *_ in runs),
+        *(mean(getattr(r, k) for r in ratios) for k in ("sc_pt", "sc_pi", "sc_so", "sc_no")),
     ]
 
 
@@ -400,7 +340,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path], 
         for value in grid:
             value = float(value)
             scenarios, overrides = _KAPPA_AXES[axis](user_scenarios, value)
-            runs = _sweep_point(cfg, scenarios, groupings, **overrides)
+            runs = [_schemes(cfg, scenarios, g, **overrides) for g in groupings]
             rows.append(_kappa_row(value, runs))
         _write_rows(path, [axis] + _KAPPA_HEADER, rows)
     elif axis == "elastic_fraction":
@@ -410,34 +350,20 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path], 
             raise InputError("storage.elastic_cost is required for the elastic sweep")
         rows = []
         for value in grid:
-            value = float(value)
-            per = {"pt": [], "pi": []}
-            for grouping in groupings:
-                for sch in ("pt", "pi"):
-                    res = _optimize_one(
-                        cfg, user_scenarios, grouping, sch, elastic_fraction=value
-                    )
-                    per[sch].append(res)
-            rows.append(
-                [
-                    value,
-                    mean(r.best_price.p_delta for r in per["pt"]),
-                    mean(sum(p.capacity for p in r.responses.values()) for r in per["pt"]),
-                    mean(r.social_cost.total for r in per["pt"]),
-                    mean(r.best_price.p_delta for r in per["pi"]),
-                    mean(sum(p.capacity for p in r.responses.values()) for r in per["pi"]),
-                    mean(r.social_cost.total for r in per["pi"]),
+            row = [float(value)]
+            for sch in ("pt", "pi"):
+                results = [
+                    _optimize_one(cfg, user_scenarios, g, sch, elastic_fraction=row[0])[0]
+                    for g in groupings
                 ]
-            )
-        _write_rows(
-            path,
-            [
-                "elastic_fraction",
-                "pdelta_pt", "capacity_pt", "sc_pt",
-                "pdelta_pi", "capacity_pi", "sc_pi",
-            ],
-            rows,
-        )
+                row += [
+                    mean(r.best_price.p_delta for r in results),
+                    mean(_total_capacity(r) for r in results),
+                    mean(r.social_cost.total for r in results),
+                ]
+            rows.append(row)
+        header = [f"{m}_{sch}" for sch in ("pt", "pi") for m in ("pdelta", "capacity", "sc")]
+        _write_rows(path, ["elastic_fraction"] + header, rows)
     else:
         raise InputError(f"unknown sweep axis {axis!r}")
     outputs.append(path)
@@ -445,115 +371,10 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path], 
     return 0
 
 
-def _verify_checks(cfg: ExperimentConfig, seed: int):
-    """Quick self-contained invariant suite; yields (name, ok, detail)."""
-    rng = np.random.default_rng(seed)
-    periods, supply = cfg.periods(), cfg.supply_params()
-
-    def sizing_oracle():
-        for _ in range(150):
-            n = int(rng.integers(1, 7))
-            demand = np.sort(rng.uniform(0.0, 10.0, n))
-            probs = rng.uniform(0.2, 1.0, n)
-            probs /= probs.sum()
-            theta = float(rng.uniform(0.05, 3.0))
-            p_delta = float(rng.uniform(0.0, 6.0))
-            cap = optimal_capacity_discrete(demand, probs, theta, p_delta)
-            exp_served = lambda c: float(probs @ np.minimum(c, demand))
-            cost = theta * cap - p_delta * exp_served(cap)
-            best = min(theta * c - p_delta * exp_served(c) for c in [0.0, *demand])
-            if cost > best + 1e-9:
-                return False, f"capacity cost {cost} vs enumeration {best}"
-        return True, ""
-
-    def scan_vs_grid():
-        for _ in range(15):
-            scen, specs = _random_small_instance(rng)
-            result = optimize_price_difference(
-                scen, specs, None, None, periods, supply
-            )
-            grid = np.linspace(0.0, max(s.theta for s in specs.values()) * 8 + 5, 2001)
-            totals = social_cost_curve(scen, specs, periods, supply, grid)
-            if result.scan_cost > totals.min() + 1e-9 * max(1.0, totals.min()):
-                return False, f"scan {result.scan_cost} beaten by grid {totals.min()}"
-            bound = scen.n_entities * scen.n_outcomes + 1
-            if result.n_candidates > bound:
-                return False, f"{result.n_candidates} candidates exceeds {bound}"
-        return True, ""
-
-    def ordering_and_structure():
-        for trial in range(20):
-            scen, specs = _random_small_instance(rng)
-            grouping = {e: e for e in scen.entities}
-            thetas = {e: specs[e].theta for e in scen.entities}
-            pi = optimize_price_difference(scen, specs, None, None, periods, supply)
-            pt = optimize_price_difference(scen, specs, scen, grouping, periods, supply)
-            plan = solve_so(scen, thetas, periods, supply)
-            sc_no = no_storage_cost(scen, periods, supply).total
-            try:
-                compute_ratios(
-                    pt.social_cost.total, pi.social_cost.total,
-                    plan.social_cost.total, sc_no,
-                )
-            except OrderingViolationError as exc:
-                return False, str(exc)
-            rep_so = validate_structure_so(plan, thetas, scen)
-            rep_pi = validate_structure_pricing(pi.responses, thetas, scen)
-            if not rep_so.ok or not rep_pi.ok:
-                return False, "; ".join(rep_so.violations + rep_pi.violations)
-        return True, ""
-
-    def extended_reduction():
-        for _ in range(10):
-            scen, specs = _random_small_instance(rng)
-            plain = optimize_price_difference(scen, specs, None, None, periods, supply)
-            ext = optimize_prices_extended(
-                scen, specs, None, None, periods, supply, (0.0, 0.0), 1
-            )
-            same = (
-                ext.best_price.p_delta == plain.best_price.p_delta
-                and ext.social_cost.total == plain.social_cost.total
-            )
-            if not same:
-                return False, "extended search with lossless specs diverged from plain"
-        return True, ""
-
-    def probability_normalization():
-        scen = generate_synthetic(2, 2, 9, 5.0, int(rng.integers(0, 2**31)))
-        for dd in (0.0, 0.7, 1.0, 1.8):
-            adjusted = adjust_variance(scen, dd)
-            if abs(adjusted.probs.sum() - 1.0) > 1e-9:
-                return False, f"probabilities drifted at delta_d={dd}"
-        agg = aggregate_by_type(scen, {e: e.split('u')[0] for e in scen.entities})
-        if abs(agg.probs.sum() - 1.0) > 1e-9:
-            return False, "probabilities drifted after aggregation"
-        return True, ""
-
-    yield "sizing-enumeration-oracle", *sizing_oracle()
-    yield "price-scan-vs-grid", *scan_vs_grid()
-    yield "scheme-ordering-and-structure", *ordering_and_structure()
-    yield "extended-reduction", *extended_reduction()
-    yield "probability-normalization", *probability_normalization()
-
-
-def _random_small_instance(rng: np.random.Generator):
-    n_entities = int(rng.integers(2, 4))
-    n_outcomes = int(rng.integers(2, 5))
-    peak = rng.uniform(0.5, 8.0, size=(n_outcomes, n_entities))
-    offpeak = rng.uniform(0.0, 4.0, size=(n_outcomes, n_entities))
-    probs = rng.uniform(0.2, 1.0, n_outcomes)
-    probs /= probs.sum()
-    names = tuple(f"u{i}" for i in range(n_entities))
-    scen = ScenarioSet(names, probs, peak, offpeak)
-    thetas = np.sort(rng.uniform(0.05, 4.0, n_entities))
-    specs = {e: StorageSpec(theta=float(t)) for e, t in zip(names, thetas)}
-    return scen, specs
-
-
 def cmd_verify(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path]) -> int:
     failures = []
     results = {}
-    for name, ok, detail in _verify_checks(cfg, seed):
+    for name, ok, detail in verify_suite(cfg.periods(), cfg.supply_params(), seed):
         results[name] = {"ok": ok, "detail": detail}
         print(f"{'PASS' if ok else 'FAIL'} {name}" + (f": {detail}" if detail else ""))
         if not ok:

@@ -31,13 +31,12 @@ from .response import StorageSpec
 DEFAULT_PEAK_HOURS = (18, 19, 20, 21, 22, 23, 0)
 
 
-def _build(cls, data: Mapping[str, Any] | None, where: str):
+def _known_keys(cls, data: Mapping[str, Any] | None, where: str) -> dict:
     data = dict(data or {})
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise InputError(f"unknown {where} keys: {unknown}")
-    return cls(**data)
+    return data
 
 
 @dataclass(frozen=True)
@@ -148,11 +147,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "ExperimentConfig":
-        raw = dict(raw or {})
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise InputError(f"unknown config keys: {unknown}")
+        raw = _known_keys(cls, raw, "config")
         kwargs: dict[str, Any] = {}
         for name, sub in (
             ("data", DataCfg),
@@ -166,7 +161,7 @@ class ExperimentConfig:
             ("solver", SolverCfg),
         ):
             if name in raw:
-                kwargs[name] = _build(sub, raw[name], name)
+                kwargs[name] = sub(**_known_keys(sub, raw[name], name))
         if "peak_hours" in raw:
             kwargs["peak_hours"] = tuple(int(h) for h in raw["peak_hours"])
         if "seed" in raw:

@@ -164,34 +164,36 @@ def _response_arrays(
     return caps, charge, shifted
 
 
-def _check_feasible(scenarios, specs, caps, charge, shifted):
+def _check_feasible(scenarios, entity_specs, eta_c, loss, caps, charge, shifted):
+    """Raise for the first infeasible cell, entity by entity, then outcome by
+    outcome, then in the order of the checks below."""
     scale = max(1.0, float(scenarios.peak.max()), float(caps.max(initial=0.0)))
     tol = 1e-9 * scale
-    for j, entity in enumerate(scenarios.entities):
-        spec = specs[entity]
-        loss = spec.eta_c * spec.eta_d
-        for w in range(scenarios.n_outcomes):
-            s, q, d = charge[w, j], shifted[w, j], scenarios.peak[w, j]
-            if s < -tol:
-                raise InfeasibleResponseError(entity, w, f"negative charge {s}")
-            if q < -tol:
-                raise InfeasibleResponseError(entity, w, f"negative shift {q}")
-            if spec.e_shift is None and q > tol:
-                raise InfeasibleResponseError(
-                    entity, w, "shifted demand without an elastic-shift cost"
-                )
-            if q > d + tol:
-                raise InfeasibleResponseError(
-                    entity, w, f"shift {q} exceeds peak demand {d}"
-                )
-            if spec.eta_c * s > caps[j] + tol:
-                raise InfeasibleResponseError(
-                    entity, w, f"stored energy {spec.eta_c * s} exceeds capacity {caps[j]}"
-                )
-            if loss * s > d - q + tol:
-                raise InfeasibleResponseError(
-                    entity, w, f"discharge {loss * s} exceeds residual peak demand {d - q}"
-                )
+    inelastic = np.array([spec.e_shift is None for spec in entity_specs])
+    peak = scenarios.peak
+    violations = np.stack((
+        charge < -tol,
+        shifted < -tol,
+        inelastic & (shifted > tol),
+        shifted > peak + tol,
+        eta_c * charge > caps + tol,
+        loss * charge > peak - shifted + tol,
+    ))  # (check, outcome, entity)
+    cells = violations.any(axis=0).T
+    if not cells.any():
+        return
+    j, w = np.unravel_index(int(cells.argmax()), cells.shape)
+    check = int(violations[:, w, j].argmax())
+    s, q, d = charge[w, j], shifted[w, j], peak[w, j]
+    details = (
+        f"negative charge {s}",
+        f"negative shift {q}",
+        "shifted demand without an elastic-shift cost",
+        f"shift {q} exceeds peak demand {d}",
+        f"stored energy {eta_c[j] * s} exceeds capacity {caps[j]}",
+        f"discharge {loss[j] * s} exceeds residual peak demand {d - q}",
+    )
+    raise InfeasibleResponseError(scenarios.entities[j], int(w), details[check])
 
 
 def social_cost(
@@ -210,16 +212,15 @@ def social_cost(
     supply cost only depends on charges through their entity sum.
     """
     caps, charge, shifted = _response_arrays(scenarios, specs, responses)
+    entity_specs = [specs[e] for e in scenarios.entities]
+    thetas, eta_c, eta_d, taus = (
+        np.array([getattr(spec, name) for spec in entity_specs])
+        for name in ("theta", "eta_c", "eta_d", "tau")
+    )
+    losses = eta_c * eta_d
     if check_feasibility:
-        _check_feasible(scenarios, specs, caps, charge, shifted)
-    thetas = np.array([specs[e].theta for e in scenarios.entities])
-    losses = np.array(
-        [specs[e].eta_c * specs[e].eta_d for e in scenarios.entities]
-    )
-    taus = np.array([specs[e].tau for e in scenarios.entities])
-    shift_prices = np.array(
-        [specs[e].e_shift or 0.0 for e in scenarios.entities]
-    )
+        _check_feasible(scenarios, entity_specs, eta_c, losses, caps, charge, shifted)
+    shift_prices = np.array([spec.e_shift or 0.0 for spec in entity_specs])
     peak_load = (scenarios.peak - shifted - losses * charge).sum(axis=1)
     off_load = (scenarios.offpeak + shifted + charge).sum(axis=1)
     per_outcome = two_period_supply_cost(peak_load, off_load, periods, supply)

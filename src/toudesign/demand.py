@@ -422,6 +422,11 @@ def reduce_scenarios(s: ScenarioSet, target: int) -> ScenarioSet:
     dist = np.empty((n, n))
     for w in range(n):
         dist[w] = np.sqrt(((vectors - vectors[w]) ** 2).sum(axis=1))
+    # Outcomes at distance 0 from an earlier one are copies; keeping more
+    # outcomes than distinct ones would keep a copy with probability 0.
+    distinct = n - int(np.tril(dist == 0.0, -1).any(axis=1).sum())
+    if target > distinct:
+        raise InputError(f"target {target} exceeds the {distinct} distinct outcomes")
     probs = s.probs
     kept: list[int] = []
     # Forward selection: greedily add the outcome that most reduces the

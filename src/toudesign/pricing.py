@@ -26,7 +26,7 @@ from .errors import InputError
 from .response import (
     ResponseProfile,
     StorageSpec,
-    _tail_masses,
+    _steps_bought,
     equivalent_transform,
     respond,
     threshold_set_extended,
@@ -324,13 +324,12 @@ def _curve_block(scenarios, specs, periods, supply, pds, p_offpeak, elastic_frac
         spec = specs[entity]
         peak = scenarios.peak[:, j]
         loss = spec.eta_c * spec.eta_d
-        tr = equivalent_transform(spec, p_offpeak, 0.0)
-        pdd = pds * loss - p_offpeak * (1.0 - loss) - spec.tau * (1.0 + loss)
-        cap_sel, charge_sel = _sized(peak, probs, tr, pdd)
+        tr = equivalent_transform(spec, p_offpeak, pds)
+        cap_sel, charge_sel = _sized(peak, probs, tr)
         q_sel = 0.0
         if spec.e_shift is not None:
             elastic = elastic_fraction * peak
-            cap_q, charge_q = _sized(peak - elastic, probs, tr, pdd)
+            cap_q, charge_q = _sized(peak - elastic, probs, tr)
             mask = pds > spec.e_shift
             q_sel = np.where(mask[:, None], elastic[None, :], 0.0)
             cap_sel = np.where(mask, cap_q, cap_sel)
@@ -344,14 +343,13 @@ def _curve_block(scenarios, specs, periods, supply, pds, p_offpeak, elastic_frac
     return investment + degradation + shift_cost + per_outcome @ probs
 
 
-def _sized(residual, probs, tr, pdd):
+def _sized(residual, probs, tr):
     """Transformed capacity and per-outcome charges on residual peak demand,
-    one row per transformed price difference."""
+    one row per transformed price difference in tr.p_delta."""
     dag = residual * tr.peak_scale
     order = np.argsort(dag, kind="stable")
-    thresholds = tr.theta / _tail_masses(probs[order])
     steps = np.concatenate(([0.0], dag[order]))
-    cap_dag = steps[np.searchsorted(thresholds, pdd, side="left")]
+    cap_dag = steps[_steps_bought(probs[order], tr.theta, tr.p_delta)]
     return cap_dag, np.minimum(cap_dag[:, None], dag[None, :])
 
 

@@ -110,6 +110,12 @@ def _tail_masses(probs: np.ndarray) -> np.ndarray:
     return np.cumsum(probs[::-1])[::-1]
 
 
+def _steps_bought(probs: np.ndarray, theta: float, p_deltas):
+    """Newsvendor step rule on sorted outcomes: the number of outcome steps
+    whose price threshold theta / (tail mass) lies strictly below p_delta."""
+    return np.searchsorted(theta / _tail_masses(probs), p_deltas, side="left")
+
+
 def _validate_discrete(peak_outcomes, probs):
     peak_outcomes = np.asarray(peak_outcomes, dtype=float)
     probs = np.asarray(probs, dtype=float)
@@ -150,12 +156,7 @@ def optimal_capacity_discrete(
     probability) lies strictly below p_delta; at an exact tie the lower step
     is returned, so no storage is bought at p_delta == theta.
     """
-    peak_outcomes, probs = _validate_discrete(peak_outcomes, probs)
-    thresholds = theta / _tail_masses(probs)
-    m_hat = int(np.searchsorted(thresholds, p_delta, side="left"))
-    if m_hat == 0:
-        return 0.0
-    return float(peak_outcomes[m_hat - 1])
+    return float(capacity_curve(peak_outcomes, probs, theta, p_delta))
 
 
 def capacity_curve(
@@ -166,10 +167,8 @@ def capacity_curve(
 ) -> np.ndarray:
     """Vectorized optimal capacity over an array of price differences."""
     peak_outcomes, probs = _validate_discrete(peak_outcomes, probs)
-    thresholds = theta / _tail_masses(probs)
     steps = np.concatenate(([0.0], peak_outcomes))
-    idx = np.searchsorted(thresholds, np.asarray(p_deltas, dtype=float), side="left")
-    return steps[idx]
+    return steps[_steps_bought(probs, theta, np.asarray(p_deltas, dtype=float))]
 
 
 def optimal_charge(capacity: float, peak_demand: float) -> float:
@@ -188,10 +187,7 @@ def threshold_set(
     probability mass from that position up. Duplicate outcome values still
     contribute their own tail-mass threshold.
     """
-    _, probs = _validate_discrete(peak_outcomes, probs)
-    values = theta / _tail_masses(probs)
-    uniq = sorted(set([0.0] + [float(v) for v in values]))
-    return ThresholdSet(tuple(uniq))
+    return threshold_set_extended(StorageSpec(theta=theta), peak_outcomes, probs, 0.0)
 
 
 def respond_elastic(
@@ -223,7 +219,8 @@ def equivalent_transform(
     The transformed price difference discounts for round-trip losses, the
     extra off-peak energy bought to cover them and the degradation cost per
     cycle; the transformed capacity cost and peak demand rescale by the
-    charge and round-trip efficiencies.
+    charge and round-trip efficiencies. p_delta may be an array of price
+    differences, which maps elementwise.
     """
     loss = spec.eta_d * spec.eta_c
     p_delta_dag = p_delta * loss - p_o * (1.0 - loss) - spec.tau * (1.0 + loss)

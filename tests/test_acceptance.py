@@ -42,6 +42,7 @@ from toudesign import (
     validate_structure_pricing,
     validate_structure_so,
 )
+from toudesign.oracles import newsvendor_cost, newsvendor_enumeration
 
 HALF_DAY = PeriodStructure(frozenset(range(12)))
 EVENING = PeriodStructure(frozenset({18, 19, 20, 21, 22, 23, 0}))
@@ -98,12 +99,8 @@ def test_criterion_2_stage2_oracle_equivalence():
         theta = float(rng.uniform(0.02, 4.0))
         p_delta = float(rng.uniform(0.0, 10.0))
         cap = optimal_capacity_discrete(demand, probs, theta, p_delta)
-
-        def cost(c):
-            return theta * c - p_delta * float(probs @ np.minimum(c, demand))
-
-        best = min(cost(c) for c in [0.0, *demand])
-        gap = cost(cap) - best
+        best = newsvendor_enumeration(demand, probs, theta, p_delta)
+        gap = newsvendor_cost(cap, demand, probs, theta, p_delta) - best
         worst = max(worst, gap)
         assert gap <= 1e-9
         # capacity only steps at the published threshold points

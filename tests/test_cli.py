@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import yaml
@@ -107,7 +108,7 @@ def test_readme_optimize_with_grid_check_on_example_config(tmp_path, capsys):
 def test_failed_grid_check_still_writes_run_meta(tmp_path, monkeypatch):
     import toudesign.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "_verify_grid", lambda *a, **k: "synthetic failure")
+    monkeypatch.setattr(cli_mod, "grid_check", lambda *a, **k: "synthetic failure")
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     code = main(
@@ -120,6 +121,26 @@ def test_failed_grid_check_still_writes_run_meta(tmp_path, monkeypatch):
     assert meta["outputs"] == sorted(
         str(out / name) for name in ("result_pt.json", "trace_pt.csv", "responses_pt.csv")
     )
+
+
+def test_grid_check_fails_when_the_scan_cost_is_too_high(tmp_path, monkeypatch, capsys):
+    import toudesign.cli as cli_mod
+
+    optimize_one = cli_mod._optimize_one
+
+    def worse_scan(*args, **kwargs):
+        result, pricing = optimize_one(*args, **kwargs)
+        return replace(result, scan_cost=result.scan_cost + 1.0), pricing
+
+    monkeypatch.setattr(cli_mod, "_optimize_one", worse_scan)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    code = main(
+        ["optimize", "--config", str(cfg), "--out", str(out), "--scheme", "pi", "--verify-grid"]
+    )
+    assert code == 3
+    assert "grid check FAILED for pi: scan cost" in capsys.readouterr().err
+    assert json.loads((out / "run_meta.json").read_text())["exit_status"] == 3
 
 
 def test_optimize_deterministic_outputs(tmp_path):
@@ -277,6 +298,29 @@ def test_verify_command_passes(tmp_path):
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "verify_report.json").read_text())
     assert all(entry["ok"] for entry in report.values())
+
+
+def test_verify_reports_a_failing_oracle(tmp_path, monkeypatch):
+    import toudesign.oracles as oracles
+
+    monkeypatch.setattr(oracles, "optimal_capacity_discrete", lambda *a, **k: 0.0)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
+    report = json.loads((out / "verify_report.json").read_text())
+    assert list(report) == sorted(
+        [
+            "sizing-enumeration-oracle",
+            "price-scan-vs-grid",
+            "scheme-ordering-and-structure",
+            "extended-reduction",
+            "probability-normalization",
+        ]
+    )
+    assert report["sizing-enumeration-oracle"]["ok"] is False
+    assert report["sizing-enumeration-oracle"]["detail"].startswith("capacity cost")
+    assert all(entry["ok"] for name, entry in report.items() if name != "sizing-enumeration-oracle")
+    assert json.loads((out / "run_meta.json").read_text())["exit_status"] == 3
 
 
 def test_missing_config_is_invalid_input(tmp_path):

@@ -205,6 +205,81 @@ def test_social_cost_shift_without_elastic_spec_rejected():
         )
 
 
+def first_violation_by_cell_loop(scen, specs, caps, charge, shifted):
+    """Message of the first infeasible cell, checked entity by entity, then
+    outcome by outcome, then rule by rule; None if every cell is feasible."""
+    tol = 1e-9 * max(1.0, float(scen.peak.max()), float(caps.max(initial=0.0)))
+    for j, entity in enumerate(scen.entities):
+        spec = specs[entity]
+        loss = spec.eta_c * spec.eta_d
+        for w in range(scen.n_outcomes):
+            s, q, d = charge[w, j], shifted[w, j], scen.peak[w, j]
+            rules = (
+                (s < -tol, f"negative charge {s}"),
+                (q < -tol, f"negative shift {q}"),
+                (spec.e_shift is None and q > tol, "shifted demand without an elastic-shift cost"),
+                (q > d + tol, f"shift {q} exceeds peak demand {d}"),
+                (spec.eta_c * s > caps[j] + tol, f"stored energy {spec.eta_c * s} exceeds capacity {caps[j]}"),
+                (loss * s > d - q + tol, f"discharge {loss * s} exceeds residual peak demand {d - q}"),
+            )
+            for violated, detail in rules:
+                if violated:
+                    return str(InfeasibleResponseError(entity, w, detail))
+    return None
+
+
+def test_feasibility_check_reports_the_first_violation_of_a_cell_loop():
+    rng = np.random.default_rng(404)
+    raised = 0
+    for _ in range(300):
+        k, n = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        scen = random_scenarios(rng, k, n)
+        specs = {
+            e: StorageSpec(
+                theta=2.0,
+                eta_c=float(rng.uniform(0.7, 1.0)),
+                eta_d=float(rng.uniform(0.7, 1.0)),
+                e_shift=1.0 if rng.random() < 0.5 else None,
+            )
+            for e in scen.entities
+        }
+        eta_c = np.array([specs[e].eta_c for e in scen.entities])
+        loss = eta_c * np.array([specs[e].eta_d for e in scen.entities])
+        elastic = np.array([specs[e].e_shift is not None for e in scen.entities])
+        caps = rng.uniform(0.0, 6.0, k)
+        shifted = np.where(elastic, rng.uniform(0.0, 0.3, (n, k)) * scen.peak, 0.0)
+        room = np.minimum(caps / eta_c, (scen.peak - shifted) / loss)
+        charge = rng.uniform(0.0, 1.0, (n, k)) * room
+        for _ in range(int(rng.integers(0, 5))):
+            w, j, kind = int(rng.integers(n)), int(rng.integers(k)), int(rng.integers(6))
+            bump = float(rng.uniform(0.1, 1.0))
+            if kind == 0:
+                charge[w, j] = -bump
+            elif kind == 1:
+                shifted[w, j] = -bump
+            elif kind == 2:
+                shifted[w, j] = bump
+            elif kind == 3:
+                shifted[w, j] = scen.peak[w, j] + bump
+            elif kind == 4:
+                charge[w, j] = (caps[j] + bump) / eta_c[j]
+            else:
+                charge[w, j] = (scen.peak[w, j] - shifted[w, j] + bump) / loss[j]
+        responses = {
+            e: ResponseProfile(float(caps[j]), charge[:, j], shifted[:, j])
+            for j, e in enumerate(scen.entities)
+        }
+        expected = first_violation_by_cell_loop(scen, specs, caps, charge, shifted)
+        if expected is None:
+            social_cost(scen, specs, responses, HALF_DAY, SupplyCostParams(1.0))
+            continue
+        raised += 1
+        with pytest.raises(InfeasibleResponseError) as err:
+            social_cost(scen, specs, responses, HALF_DAY, SupplyCostParams(1.0))
+        assert str(err.value) == expected
+    assert 150 < raised < 300
+
+
 def test_social_cost_includes_shift_cost():
     scen = one_user_instance(6.0)
     specs = {"u": StorageSpec(theta=1.0, e_shift=0.5)}

@@ -291,6 +291,16 @@ def test_reduce_merges_duplicates_losslessly():
     assert merged == {(0.5, 2.0), (0.5, 5.0)}
 
 
+def test_reduce_rejects_target_above_distinct_outcomes():
+    peak = np.array([[1.0], [1.0], [1.0], [2.0]])
+    scen = ScenarioSet(("a",), np.full(4, 0.25), peak, np.zeros_like(peak))
+    with pytest.raises(InputError, match="target 3 exceeds the 2 distinct outcomes"):
+        reduce_scenarios(scen, 3)
+    out = reduce_scenarios(scen, 2)
+    assert out.probs.tolist() == [0.75, 0.25]
+    assert out.peak[:, 0].tolist() == [1.0, 2.0]
+
+
 def test_reduce_361_to_100_preserves_means():
     rng = np.random.default_rng(7)
     days = 361

@@ -16,6 +16,7 @@ from toudesign import (
     social_cost_curve,
 )
 
+from toudesign.oracles import grid_check
 from toudesign.pricing import _CURVE_BLOCK
 
 from conftest import HALF_DAY, random_scenarios, random_specs
@@ -421,10 +422,8 @@ def test_scan_vs_grid_with_losses_and_degradation():
         )
         hi = max(pd for _, pd, _ in result.trace) * 1.5 + 1.0
         grid = np.linspace(0.0, hi, 8000)
-        totals = social_cost_curve(
-            scen, specs, EVENING_PEAK, supply, grid, p_offpeak=p_o
-        )
-        assert result.scan_cost <= totals.min() + 1e-9 * max(1.0, totals.min())
+        assert result.best_price.p_offpeak == p_o
+        assert grid_check(result, grid, scen, specs, EVENING_PEAK, supply) is None
 
 
 def test_explicit_epsilon_is_validated(quadratic_supply):

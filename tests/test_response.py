@@ -17,17 +17,7 @@ from toudesign import (
     threshold_set,
     threshold_set_extended,
 )
-
-
-def newsvendor_cost(c, demand, probs, theta, p_delta):
-    """Independent enumeration oracle for the storage sizing objective."""
-    return theta * c - p_delta * float(probs @ np.minimum(c, demand))
-
-
-def enumerate_best(demand, probs, theta, p_delta):
-    candidates = [0.0] + [float(d) for d in demand]
-    costs = [newsvendor_cost(c, demand, probs, theta, p_delta) for c in candidates]
-    return min(costs)
+from toudesign.oracles import newsvendor_cost, newsvendor_enumeration
 
 
 @st.composite
@@ -49,7 +39,7 @@ def test_discrete_capacity_matches_enumeration(instance):
     demand, probs, theta, p_delta = instance
     cap = optimal_capacity_discrete(demand, probs, theta, p_delta)
     cost = newsvendor_cost(cap, demand, probs, theta, p_delta)
-    assert cost <= enumerate_best(demand, probs, theta, p_delta) + 1e-9
+    assert cost <= newsvendor_enumeration(demand, probs, theta, p_delta) + 1e-9
 
 
 def test_discrete_capacity_examples():
