@@ -42,7 +42,6 @@ from .errors import (
     InputError,
     OrderingViolationError,
 )
-from .oracles import brute_force_so, tightness_instance
 from .pricing import (
     PricingResult,
     TouPrice,
@@ -67,3 +66,13 @@ from .response import (
     threshold_set,
     threshold_set_extended,
 )
+
+
+def __getattr__(name):
+    # The reference checks load on first use, so `import toudesign` does
+    # not compile them.
+    if name in ("brute_force_so", "tightness_instance"):
+        from . import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,10 +6,12 @@ files; the `verify` suite and the `--verify-grid` check come from
 
 Exit codes: 0 success, 2 invalid input, 3 invariant violation, 4 solver
 non-convergence. Once the configuration has resolved, every command writes
-a run_meta.json with the configuration snapshot, the outputs written and its
-exit status, also when a check fails or an exception ends it; an invalid
-configuration reports on stderr only. Result tables carry no timestamps so
-identical configuration and seed reproduce identical files.
+a run_meta.json with the configuration snapshot, the outputs written, its
+exit status and its "metrics" (for `optimize`, each scheme's threshold,
+candidate and evaluation counts), also when a check fails or an exception
+ends it; an invalid configuration reports on stderr only. Result tables
+carry no timestamps so identical configuration and seed reproduce identical
+files.
 """
 
 from __future__ import annotations
@@ -60,7 +62,13 @@ def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _write_meta(
-    out: Path, command: str, cfg: ExperimentConfig, seed: int, outputs, exit_status: int
+    out: Path,
+    command: str,
+    cfg: ExperimentConfig,
+    seed: int,
+    outputs,
+    exit_status: int,
+    metrics: dict,
 ) -> None:
     _write_json(
         out / "run_meta.json",
@@ -71,6 +79,7 @@ def _write_meta(
             "config": cfg.snapshot(),
             "outputs": sorted(str(o) for o in outputs),
             "exit_status": exit_status,
+            "metrics": metrics,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         },
     )
@@ -200,7 +209,13 @@ def cmd_ingest(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path])
 
 
 def cmd_optimize(
-    cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path], scheme: str, verify_grid: bool
+    cfg: ExperimentConfig,
+    out: Path,
+    seed: int,
+    outputs: list[Path],
+    metrics: dict,
+    scheme: str,
+    verify_grid: bool,
 ) -> int:
     user_scenarios = cfg.load_user_scenarios(seed)
     grouping = cfg.groupings(user_scenarios.entities)[0]
@@ -215,6 +230,11 @@ def cmd_optimize(
         resp_path = out / f"responses_{sch}.csv"
         _write_responses(resp_path, result)
         outputs.extend([base, trace_path, resp_path])
+        metrics[sch] = {
+            "thresholds": result.n_thresholds,
+            "candidates": result.n_candidates,
+            "evaluations": result.n_evaluations,
+        }
         print(
             f"{sch}: p_delta={result.best_price.p_delta:.6g} "
             f"social_cost={result.social_cost.total:.6g} "
@@ -436,12 +456,15 @@ def main(argv=None) -> int:
     seed = cfg.seed if args.seed is None else args.seed
     out = args.out
     outputs: list[Path] = []
+    metrics: dict = {}
     command = args.command
     try:
         if command == "ingest":
             status = cmd_ingest(cfg, out, seed, outputs)
         elif command == "optimize":
-            status = cmd_optimize(cfg, out, seed, outputs, args.scheme, args.verify_grid)
+            status = cmd_optimize(
+                cfg, out, seed, outputs, metrics, args.scheme, args.verify_grid
+            )
         elif command == "sweep":
             command = f"sweep:{args.axis}"
             status = cmd_sweep(cfg, out, seed, outputs, args.axis)
@@ -460,7 +483,7 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         status = 2
-    _write_meta(out, command, cfg, seed, outputs, status)
+    _write_meta(out, command, cfg, seed, outputs, status, metrics)
     return status
 
 

@@ -122,9 +122,6 @@ class ScenarioSet:
     def entity_peak(self, entity: str) -> np.ndarray:
         return self.peak[:, self.entity_index(entity)]
 
-    def entity_offpeak(self, entity: str) -> np.ndarray:
-        return self.offpeak[:, self.entity_index(entity)]
-
     def aggregate_peak(self) -> np.ndarray:
         return self.peak.sum(axis=1)
 

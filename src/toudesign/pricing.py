@@ -4,13 +4,15 @@ The social cost induced by storage best responses is piecewise constant in
 the peak/off-peak price difference, jumping only where some entity's optimal
 capacity jumps. The optimizer therefore collects every entity's candidate
 thresholds, evaluates the social cost a hair above each one and keeps the
-cheapest, which is exact for discrete demand distributions. All candidates
-are evaluated at once by the vectorized `social_cost_curve`; the chosen
-tariff is then re-evaluated through the scalar `respond` + `social_cost`
-path, which supplies the reported responses and cost. Pricing can be driven
-by per-type aggregates (the realistic information set) or by per-user data;
-in the type-based scheme the reported cost re-evaluates each individual
-user's response to the chosen tariff.
+cheapest, which is exact for discrete demand distributions. The candidates
+and their costs come from the event sweep of `toudesign.scan`, over the
+whole instance at once; the chosen tariff's responses come from its array
+form of `respond`, which stays the scalar reference. `social_cost_curve`
+here re-sizes every entity at every price difference and stays the
+independent reference behind the grid checks. Pricing can be driven by
+per-type aggregates (the realistic information set) or by per-user data; in
+the type-based scheme the reported cost re-evaluates each individual user's
+response to the chosen tariff.
 """
 
 from __future__ import annotations
@@ -28,12 +30,10 @@ from .response import (
     StorageSpec,
     _steps_bought,
     equivalent_transform,
-    respond,
-    threshold_set_extended,
 )
+from .scan import _CURVE_BLOCK, _respond_all, _StepEvents
 
 DEFAULT_EPSILON = 1e-6
-_CURVE_BLOCK = 1024  # price differences per block of social_cost_curve
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,10 @@ class PricingResult:
 
     responses holds each individual user's profile at the chosen tariff and
     social_cost is their re-evaluated cost; trace records every evaluated
-    candidate as (p_offpeak, p_delta, total cost) in evaluation order.
+    candidate as (p_offpeak, p_delta, total cost) in evaluation order. At the
+    chosen off-peak price, n_thresholds counts the threshold values collected
+    before duplicates and near-duplicates are merged, n_candidates the price
+    differences left after.
     """
 
     best_price: TouPrice
@@ -68,29 +71,9 @@ class PricingResult:
     trace: list[tuple[float, float, float]]
     scan_cost: float
     n_candidates: int
+    n_thresholds: int
     n_evaluations: int
     epsilon: float
-
-
-def _entity_candidates(
-    spec: StorageSpec,
-    probs: np.ndarray,
-    peak: np.ndarray,
-    elastic_fraction: float,
-    p_o: float,
-) -> set[float]:
-    # Capacity steps only occur above the elastic-shift cost, so tail masses
-    # are taken on the post-shift residual demand ordering.
-    elastic = elastic_fraction * peak
-    residual = peak - elastic
-    order = np.argsort(residual, kind="stable")
-    values = set(
-        threshold_set_extended(spec, residual[order], probs[order], p_o).values
-    )
-    if spec.e_shift is not None:
-        values.add(float(spec.e_shift))
-    values.add(0.0)
-    return values
 
 
 def _auto_epsilon(candidates: np.ndarray) -> float:
@@ -100,65 +83,36 @@ def _auto_epsilon(candidates: np.ndarray) -> float:
     return min(DEFAULT_EPSILON, gap / 2.0)
 
 
-def _scan(
-    scenarios: ScenarioSet,
-    specs: Mapping[str, StorageSpec],
-    periods: PeriodStructure,
-    supply: SupplyCostParams,
-    p_o: float,
-    elastic_fraction: float,
-    eps: float | None,
-):
-    union: set[float] = set()
-    for j, entity in enumerate(scenarios.entities):
-        union |= _entity_candidates(
-            specs[entity], scenarios.probs, scenarios.peak[:, j], elastic_fraction, p_o
-        )
-    candidates = np.array(sorted(union)) if union else np.array([0.0])
-    if candidates.size > 1:
-        # Mathematically equal thresholds of different entities can differ by
-        # float noise (same tail masses summed in another order); merge them
-        # so the auto-epsilon cannot collapse below representable spacing.
-        keep = [float(candidates[0])]
-        for value in candidates[1:]:
-            if value - keep[-1] > 1e-9 * max(1.0, abs(value)):
-                keep.append(float(value))
-        candidates = np.array(keep)
+def _merge_close(candidates: np.ndarray) -> np.ndarray:
+    """Drop each candidate within 1e-9 relative of the last one kept.
+
+    Mathematically equal thresholds of different entities can differ by
+    float noise (same tail masses summed in another order); merging them
+    keeps the auto-epsilon above representable spacing. Only the close gaps
+    need the walk.
+    """
+    tol = 1e-9 * np.maximum(1.0, np.abs(candidates[1:]))
+    keep = np.ones(candidates.size, dtype=bool)
+    last = 0
+    for i in (np.flatnonzero(np.diff(candidates) <= tol) + 1).tolist():
+        if keep[i - 1]:
+            last = i - 1
+        keep[i] = candidates[i] - candidates[last] > tol[i - 1]
+    return candidates[keep]
+
+
+def _scan(events: _StepEvents, periods, supply, p_o: float, eps: float | None):
+    candidates, n_thresholds = events.candidates(p_o)
+    candidates = _merge_close(candidates)
     eps_used = _auto_epsilon(candidates) if eps is None else float(eps)
     if eps_used <= 0:
         raise InputError("epsilon must be > 0")
     p_deltas = candidates + eps_used
-    totals = social_cost_curve(
-        scenarios, specs, periods, supply, p_deltas, p_o, elastic_fraction
-    )
-    trace = [(p_o, float(pd), float(t)) for pd, t in zip(p_deltas, totals)]
+    totals = events.costs(p_deltas, p_o, periods, supply)
+    trace = [(p_o, pd, t) for pd, t in zip(p_deltas.tolist(), totals.tolist())]
     # argmin keeps the first minimum: ties go to the smaller price difference
     best = int(np.argmin(totals))
-    return trace[best][1], trace[best][2], trace, len(candidates), eps_used
-
-
-def _user_realization(
-    price: TouPrice,
-    user_scenarios: ScenarioSet,
-    user_specs: Mapping[str, StorageSpec],
-    periods: PeriodStructure,
-    supply: SupplyCostParams,
-    elastic_fraction: float,
-):
-    responses = {
-        entity: respond(
-            user_specs[entity],
-            price,
-            user_scenarios.probs,
-            user_scenarios.peak[:, j],
-            elastic_fraction * user_scenarios.peak[:, j],
-        )
-        for j, entity in enumerate(user_scenarios.entities)
-    }
-    sc = social_cost(
-        user_scenarios, user_specs, responses, periods, supply, check_feasibility=False
-    )
-    return responses, sc
+    return trace[best][1], trace[best][2], trace, len(candidates), n_thresholds, eps_used
 
 
 def user_specs_from_grouping(
@@ -195,24 +149,24 @@ def _search(
         raise InputError("elastic_fraction must be in [0, 1]")
     if user_scenarios is not None and grouping is None:
         raise InputError("a grouping is required with user scenarios")
+    events = _StepEvents(pricing_scenarios, pricing_specs, elastic_fraction)
     best = None
     trace: list[tuple[float, float, float]] = []
     for p_o in p_o_grid:
-        p_delta, cost, scan_trace, n_candidates, eps_used = _scan(
-            pricing_scenarios, pricing_specs, periods, supply, p_o, elastic_fraction, eps
-        )
+        p_delta, cost, scan_trace, *counts = _scan(events, periods, supply, p_o, eps)
         trace.extend(scan_trace)
         if best is None or cost < best[2]:
-            best = (p_o, p_delta, cost, n_candidates, eps_used)
-    p_o, p_delta, scan_cost, n_candidates, eps_used = best
+            best = (p_o, p_delta, cost, *counts)
+    p_o, p_delta, scan_cost, n_candidates, n_thresholds, eps_used = best
     price = TouPrice(p_o + p_delta, p_o)
     if user_scenarios is None:
         scheme, user_scenarios, user_specs = "pi", pricing_scenarios, pricing_specs
     else:
         scheme = "pt"
         user_specs = user_specs_from_grouping(pricing_specs, user_scenarios, grouping)
-    responses, sc = _user_realization(
-        price, user_scenarios, user_specs, periods, supply, elastic_fraction
+    responses = _respond_all(price, user_scenarios, user_specs, elastic_fraction)
+    sc = social_cost(
+        user_scenarios, user_specs, responses, periods, supply, check_feasibility=False
     )
     return PricingResult(
         best_price=price,
@@ -222,6 +176,7 @@ def _search(
         trace=trace,
         scan_cost=scan_cost,
         n_candidates=n_candidates,
+        n_thresholds=n_thresholds,
         n_evaluations=len(trace),
         epsilon=eps_used,
     )

@@ -58,7 +58,7 @@ class ResponseProfile:
     """Result of one entity's storage decision under a tariff.
 
     capacity is the installed MWh, charge the purchased charging energy per
-    outcome, shifted the moved elastic demand per outcome.
+    outcome, shifted the moved elastic demand per outcome; all are finite.
     """
 
     capacity: float
@@ -70,6 +70,9 @@ class ResponseProfile:
         shifted = np.asarray(self.shifted, dtype=float)
         if charge.shape != shifted.shape or charge.ndim != 1:
             raise InputError("charge and shifted must be 1-d arrays of equal length")
+        finite = np.isfinite(charge).all() and np.isfinite(shifted).all()
+        if not (finite and np.isfinite(self.capacity)):
+            raise InputError("capacity, charge and shifted must be finite")
         if self.capacity < 0:
             raise InputError("capacity must be >= 0")
         charge.setflags(write=False)

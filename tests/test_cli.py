@@ -380,3 +380,34 @@ def test_structure_violation_exit_code(tmp_path, monkeypatch):
         lambda *a, **k: StructureReport(ok=False, violations=["synthetic failure"]),
     )
     assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 3
+
+
+def test_optimize_records_scan_counts_in_run_meta(tmp_path, monkeypatch):
+    import toudesign.cli as cli_mod
+
+    optimize_one = cli_mod._optimize_one
+    seen = {}
+
+    def recording(cfg, users, grouping, scheme, **kwargs):
+        result, pricing = optimize_one(cfg, users, grouping, scheme, **kwargs)
+        seen[scheme] = result
+        return result, pricing
+
+    monkeypatch.setattr(cli_mod, "_optimize_one", recording)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out), "--scheme", "both"]) == 0
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert set(seen) == {"pt", "pi"}
+    assert meta["metrics"] == {
+        scheme: {
+            "thresholds": r.n_thresholds,
+            "candidates": r.n_candidates,
+            "evaluations": r.n_evaluations,
+        }
+        for scheme, r in seen.items()
+    }
+    for scheme, r in seen.items():
+        assert r.n_thresholds >= r.n_candidates
+        # the counts stay out of the byte-reproducible result tables
+        assert "n_thresholds" not in json.loads((out / f"result_{scheme}.json").read_text())

@@ -183,6 +183,21 @@ def test_social_cost_infeasible_charge_rejected():
     assert err.value.outcome == 0
 
 
+@pytest.mark.parametrize(
+    "capacity, charge, shifted",
+    [
+        (np.nan, [0.0], [0.0]),
+        (np.inf, [0.0], [0.0]),
+        (1.0, [np.nan], [0.0]),
+        (1.0, [0.5], [-np.inf]),
+    ],
+)
+def test_response_profile_rejects_non_finite_values(capacity, charge, shifted):
+    # a NaN charge used to pass every feasibility mask and give a NaN total
+    with pytest.raises(InputError, match="finite"):
+        profile(capacity, charge, shifted)
+
+
 def test_social_cost_charge_beyond_demand_rejected():
     scen = one_user_instance(1.0)
     specs = {"u": StorageSpec(theta=1.0)}

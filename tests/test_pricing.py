@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,16 +10,19 @@ from toudesign import (
     StorageSpec,
     SupplyCostParams,
     TouPrice,
+    aggregate_by_type,
     evaluate_lambda,
     optimize_price_difference,
     optimize_prices_extended,
     respond,
     social_cost,
     social_cost_curve,
+    threshold_set_extended,
 )
 
 from toudesign.oracles import grid_check
 from toudesign.pricing import _CURVE_BLOCK
+from toudesign.scan import _respond_all, _StepEvents
 
 from conftest import HALF_DAY, random_scenarios, random_specs
 
@@ -451,3 +456,234 @@ def test_result_social_cost_matches_reevaluation(quadratic_supply):
         scen, specs, result.responses, HALF_DAY, quadratic_supply
     )
     assert result.social_cost.total == again.total
+
+
+# --- the event-sweep scan against the reference curve ------------------------
+
+
+def _duplicated(scen):
+    peak = scen.peak.copy()
+    peak[1::2] = peak[::2][: peak[1::2].shape[0]]
+    return ScenarioSet(scen.entities, scen.probs, peak, scen.offpeak)
+
+
+def _mixed_elastic(rng, entities):
+    specs = random_specs(rng, entities, theta_range=(0.5, 4.0))
+    return {
+        e: replace(s, e_shift=float(rng.uniform(0.0, s.theta))) if k % 3 else s
+        for k, (e, s) in enumerate(specs.items())
+    }
+
+
+def _engine_case(name, rng):
+    """(scenarios, specs, off-peak grid or None, elastic fraction)."""
+    scen = random_scenarios(rng, 4, 6)
+    if name == "lossless":
+        return scen, random_specs(rng, scen.entities), None, 0.0
+    if name == "lossy_degrading":
+        specs = random_specs(rng, scen.entities, eta_c=0.92, eta_d=0.85, tau=0.15)
+        specs[scen.entities[0]] = replace(specs[scen.entities[0]], eta_c=1.0, tau=0.0)
+        return scen, specs, (0.0, 2.0, 3), 0.0
+    if name == "elastic":
+        return scen, _mixed_elastic(rng, scen.entities), None, 0.35
+    if name == "elastic_lossy":
+        specs = {
+            e: replace(s, eta_c=0.9, eta_d=0.9, tau=0.05)
+            for e, s in _mixed_elastic(rng, scen.entities).items()
+        }
+        return scen, specs, (0.0, 1.0, 3), 1.0
+    if name == "duplicate_outcomes":
+        return _duplicated(scen), random_specs(rng, scen.entities), None, 0.0
+    if name == "one_outcome":
+        scen = random_scenarios(rng, 3, 1)
+        return scen, random_specs(rng, scen.entities), None, 0.0
+    if name == "one_entity":
+        scen = random_scenarios(rng, 1, 7)
+        return scen, random_specs(rng, scen.entities), None, 0.0
+    if name == "huge_theta":
+        specs = random_specs(rng, scen.entities)
+        specs[scen.entities[1]] = StorageSpec(theta=1e9)
+        return scen, specs, None, 0.0
+    if name == "several_blocks":
+        # more step events than one sweep block holds
+        scen = random_scenarios(rng, 40, 30)
+        return scen, random_specs(rng, scen.entities), None, 0.0
+    raise ValueError(name)
+
+
+ENGINE_CASES = [
+    "lossless", "lossy_degrading", "elastic", "elastic_lossy", "duplicate_outcomes",
+    "one_outcome", "one_entity", "huge_theta", "several_blocks",
+]
+
+
+def _engine_run(name, seed):
+    rng = np.random.default_rng(seed)
+    scen, specs, grid, fraction = _engine_case(name, rng)
+    if grid is None:
+        result = optimize_price_difference(
+            scen, specs, None, None, HALF_DAY, SUPPLY, elastic_fraction=fraction
+        )
+    else:
+        result = optimize_prices_extended(
+            scen, specs, None, None, HALF_DAY, SUPPLY, grid[:2], grid[2],
+            elastic_fraction=fraction,
+        )
+    return scen, specs, fraction, result
+
+
+SUPPLY = SupplyCostParams(alpha=2.0, beta=0.3, gamma=0.1)
+
+
+@pytest.mark.parametrize("name", ENGINE_CASES)
+def test_scan_trace_equals_reference_curve(name):
+    for seed in range(3):
+        scen, specs, fraction, result = _engine_run(name, seed)
+        trace = np.array(result.trace)
+        reference = np.concatenate([
+            social_cost_curve(
+                scen, specs, HALF_DAY, SUPPLY, trace[trace[:, 0] == p_o, 1], p_o, fraction
+            )
+            for p_o in dict.fromkeys(trace[:, 0])
+        ])
+        np.testing.assert_allclose(trace[:, 2], reference, rtol=1e-12, atol=0.0)
+        best = int(np.argmin(reference))
+        assert int(np.argmin(trace[:, 2])) == best
+        assert result.best_price.p_offpeak == trace[best, 0]
+        assert result.scan_cost == trace[best, 2]
+
+
+def _threshold_union(scen, specs, fraction, p_o, eps):
+    """The candidate price differences as the union of every entity's
+    `threshold_set_extended`, on the ordering the reference sizes it on."""
+    union = {0.0}
+    for j, e in enumerate(scen.entities):
+        spec, peak = specs[e], scen.peak[:, j]
+        if spec.e_shift is not None:
+            peak = peak - fraction * peak
+            union.add(spec.e_shift)
+        dag = peak * (1.0 / (spec.eta_c * spec.eta_d))
+        order = np.argsort(dag, kind="stable")
+        union |= set(threshold_set_extended(spec, dag[order], scen.probs[order], p_o).values)
+    keep = []
+    for value in sorted(union):
+        if not keep or value - keep[-1] > 1e-9 * max(1.0, abs(value)):
+            keep.append(value)
+    if eps is None:
+        eps = min(1e-6, float(np.diff(keep).min()) / 2.0) if len(keep) > 1 else 1e-6
+    return [v + eps for v in keep]
+
+
+@pytest.mark.parametrize("name", ENGINE_CASES)
+def test_candidates_equal_per_entity_threshold_union(name):
+    for seed in range(3):
+        scen, specs, fraction, result = _engine_run(name, seed)
+        for p_o in dict.fromkeys(p for p, _, _ in result.trace):
+            scanned = [pd for p, pd, _ in result.trace if p == p_o]
+            assert scanned == _threshold_union(scen, specs, fraction, p_o, None)
+
+
+def _exact_grid(events, p_o, rng):
+    """Every candidate exactly (a tie for its own step), points a hair to
+    either side, and a uniform spread beyond the largest."""
+    cands, _ = events.candidates(p_o)
+    return np.unique(np.concatenate((
+        cands, cands * (1 + 1e-13), cands * (1 - 1e-13), cands + 1e-7,
+        rng.uniform(0.0, cands.max() * 1.3 + 1.0, 50),
+    )))
+
+
+@pytest.mark.parametrize("name", ENGINE_CASES)
+def test_event_sweep_equals_reference_curve_on_any_grid(name):
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        scen, specs, grid, fraction = _engine_case(name, rng)
+        events = _StepEvents(scen, specs, fraction)
+        for p_o in ([0.0] if grid is None else np.linspace(*grid)):
+            pds = _exact_grid(events, p_o, rng)
+            np.testing.assert_allclose(
+                events.costs(pds, p_o, HALF_DAY, SUPPLY),
+                social_cost_curve(scen, specs, HALF_DAY, SUPPLY, pds, p_o, fraction),
+                rtol=1e-12, atol=0.0,
+            )
+
+
+def test_event_sweep_steps_fired_below_the_shift_cost():
+    # Probabilities that sum to 1 + 5e-10 put the first full-peak threshold
+    # below an e_shift that sits a hair under theta, so the full-peak profile
+    # buys storage before the swap replaces it.
+    probs = np.array([0.5, 0.5 + 5e-10])
+    peak = np.array([[2.0, 1.0], [3.0, 4.0]])
+    scen = ScenarioSet(("a", "b"), probs, peak, np.ones_like(peak))
+    specs = {"a": StorageSpec(1.0, e_shift=1.0 - 1e-12), "b": StorageSpec(0.8)}
+    events = _StepEvents(scen, specs, 0.5)
+    threshold = 1.0 / float(np.cumsum(probs[::-1])[-1])
+    pds = np.array([0.5, threshold, (threshold + 1.0 - 1e-12) / 2, 1.0 - 1e-12, 1.0, 3.0])
+    assert threshold < pds[2] < 1.0 - 1e-12
+    np.testing.assert_allclose(
+        events.costs(pds, 0.0, HALF_DAY, SUPPLY),
+        social_cost_curve(scen, specs, HALF_DAY, SUPPLY, pds, 0.0, 0.5),
+        rtol=1e-12, atol=0.0,
+    )
+
+
+def _assert_profiles_equal_respond(scen, specs, fraction, price, responses):
+    for j, e in enumerate(scen.entities):
+        one = respond(
+            specs[e], price, scen.probs, scen.peak[:, j], fraction * scen.peak[:, j]
+        )
+        got = responses[e]
+        assert got.capacity == one.capacity
+        assert np.array_equal(got.charge, one.charge)
+        assert np.array_equal(got.shifted, one.shifted)
+
+
+@pytest.mark.parametrize("name", ENGINE_CASES)
+def test_batched_realization_equals_respond_bit_for_bit(name):
+    for seed in range(3):
+        scen, specs, fraction, result = _engine_run(name, seed)
+        _assert_profiles_equal_respond(scen, specs, fraction, result.best_price, result.responses)
+        # exactly at thresholds and shift costs, where the tie rule decides
+        p_o = result.best_price.p_offpeak
+        cands, _ = _StepEvents(scen, specs, fraction).candidates(p_o)
+        for pd in cands[:: max(1, cands.size // 12)]:
+            price = TouPrice(p_o + pd, p_o)
+            responses = _respond_all(price, scen, specs, fraction)
+            _assert_profiles_equal_respond(scen, specs, fraction, price, responses)
+
+
+def test_type_tariff_realization_equals_respond_bit_for_bit():
+    rng = np.random.default_rng(121)
+    users = random_scenarios(rng, 8, 6)
+    grouping = {e: f"t{j % 2}" for j, e in enumerate(users.entities)}
+    types = aggregate_by_type(users, grouping)
+    type_specs = {
+        "t0": StorageSpec(theta=0.8, eta_c=0.95, eta_d=0.9, tau=0.1, e_shift=0.3),
+        "t1": StorageSpec(theta=1.6),
+    }
+    result = optimize_price_difference(
+        types, type_specs, users, grouping, HALF_DAY, SUPPLY, elastic_fraction=0.2
+    )
+    user_specs = {e: type_specs[grouping[e]] for e in users.entities}
+    _assert_profiles_equal_respond(users, user_specs, 0.2, result.best_price, result.responses)
+
+
+def test_full_elastic_fraction_keeps_inelastic_thresholds(quadratic_supply):
+    # Users without a shift cost never shift and are sized on their full
+    # peak demand. At elastic fraction 1 the residual peak is all zeros, and
+    # the scan once took their thresholds from its ordering (index order).
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        probs = rng.dirichlet(np.ones(5))
+        peak = rng.uniform(0.5, 8.0, (5, 2))
+        scen = ScenarioSet(("a", "b"), probs, peak, rng.uniform(0.0, 4.0, (5, 2)))
+        specs = {e: StorageSpec(float(rng.uniform(0.05, 4.0))) for e in ("a", "b")}
+        result = optimize_price_difference(
+            scen, specs, None, None, HALF_DAY, quadratic_supply, elastic_fraction=1.0
+        )
+        hi = max(pd for _, pd, _ in result.trace) * 1.2 + 1.0
+        grid = np.linspace(0.0, hi, 10_000)
+        assert grid_check(
+            result, grid, scen, specs, HALF_DAY, quadratic_supply, elastic_fraction=1.0
+        ) is None
+
