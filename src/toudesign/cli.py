@@ -21,6 +21,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from statistics import mean, pstdev
 
@@ -127,15 +128,11 @@ def _write_responses(path: Path, result: PricingResult) -> None:
     )
 
 
-def _is_extended(cfg: ExperimentConfig, eta: float | None = None, tau: float | None = None) -> bool:
-    if cfg.pricing.mode == "plain":
-        return False
-    if cfg.pricing.mode == "extended":
-        return True
-    eta_c = cfg.storage.eta_c if eta is None else eta
-    eta_d = cfg.storage.eta_d if eta is None else eta
-    tau = cfg.storage.tau if tau is None else tau
-    return eta_c != 1.0 or eta_d != 1.0 or tau != 0.0
+def _is_extended(cfg: ExperimentConfig) -> bool:
+    if cfg.pricing.mode != "auto":
+        return cfg.pricing.mode == "extended"
+    st = cfg.storage
+    return st.eta_c != 1.0 or st.eta_d != 1.0 or st.tau != 0.0
 
 
 def _p_o_grid(cfg: ExperimentConfig) -> tuple[tuple[float, float], int]:
@@ -152,25 +149,13 @@ def _optimize_one(
     user_scenarios: ScenarioSet,
     grouping: dict[str, str],
     scheme: str,
-    theta_bar: float | None = None,
-    delta_s: float | None = None,
-    eta: float | None = None,
-    tau: float | None = None,
-    elastic_cost="config",
-    elastic_fraction: float | None = None,
 ) -> tuple[PricingResult, tuple]:
     """Optimal tariff of one scheme, with the pricing instance it was found on
     as (pricing scenarios, pricing specs, periods, supply, elastic fraction)."""
     periods = cfg.periods()
     supply = cfg.supply_params()
-    fraction = (
-        cfg.storage.elastic_fraction if elastic_fraction is None else elastic_fraction
-    )
-    if fraction == 0.0:
-        elastic_cost = None  # no elastic demand, keep specs plain
-    type_specs = cfg.build_specs(
-        cfg.type_ids(), theta_bar, delta_s, eta, tau, elastic_cost
-    )
+    fraction = cfg.storage.elastic_fraction
+    type_specs = cfg.build_specs()
     if scheme == "pt":
         pricing_scen = aggregate_by_type(user_scenarios, grouping)
         pricing_specs = {t: type_specs[t] for t in pricing_scen.entities}
@@ -180,7 +165,7 @@ def _optimize_one(
         args = (user_scenarios, user_specs, None, None, periods, supply)
     else:
         raise InputError(f"unknown scheme {scheme!r}")
-    if _is_extended(cfg, eta, tau):
+    if _is_extended(cfg):
         p_o_range, steps = _p_o_grid(cfg)
         result = optimize_prices_extended(
             *args,
@@ -279,13 +264,11 @@ def cmd_benchmark(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Pat
     return 0
 
 
-def _schemes(cfg, user_scenarios, grouping, **overrides):
+def _schemes(cfg, user_scenarios, grouping):
     """PT, PI and the planner at one grid point, as (pt, pi, plan, ratios,
     per-user storage costs)."""
-    pt, _ = _optimize_one(cfg, user_scenarios, grouping, "pt", **overrides)
-    pi, (_, user_specs, periods, supply, _) = _optimize_one(
-        cfg, user_scenarios, grouping, "pi", **overrides
-    )
+    pt, _ = _optimize_one(cfg, user_scenarios, grouping, "pt")
+    pi, (_, user_specs, periods, supply, _) = _optimize_one(cfg, user_scenarios, grouping, "pi")
     thetas = {e: spec.theta for e, spec in user_specs.items()}
     settings = SolverSettings(cfg.solver.tolerance, cfg.solver.max_iterations)
     plan = solve_so(user_scenarios, thetas, periods, supply, settings)
@@ -317,13 +300,18 @@ _KAPPA_HEADER = [
 ]
 
 
-# Sweep axis -> (user scenarios, `_optimize_one` overrides) at one grid value.
+def _with_storage(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
+    """The config with storage fields replaced, validated like a file."""
+    return replace(cfg, storage=replace(cfg.storage, **changes))
+
+
+# Sweep axis -> (config, user scenarios) at one grid value.
 _KAPPA_AXES = {
-    "theta_bar": lambda scen, v: (scen, {"theta_bar": v}),
-    "delta_s": lambda scen, v: (scen, {"delta_s": v}),
-    "delta_d": lambda scen, v: (adjust_variance(scen, v), {}),
-    "tau": lambda scen, v: (scen, {"tau": v}),
-    "eta": lambda scen, v: (scen, {"eta": v}),
+    "theta_bar": lambda cfg, scen, v: (_with_storage(cfg, theta_bar=v), scen),
+    "delta_s": lambda cfg, scen, v: (_with_storage(cfg, delta_s=v), scen),
+    "delta_d": lambda cfg, scen, v: (cfg, adjust_variance(scen, v)),
+    "tau": lambda cfg, scen, v: (_with_storage(cfg, tau=v), scen),
+    "eta": lambda cfg, scen, v: (_with_storage(cfg, eta_c=v, eta_d=v), scen),
 }
 
 
@@ -336,9 +324,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path], 
         if not cfg.sweeps.p_delta or not cfg.sweeps.theta_bar:
             raise InputError("lambda sweep needs sweeps.p_delta and sweeps.theta_bar grids")
         grouping = groupings[0]
-        specs = user_specs_from_grouping(
-            cfg.build_specs(cfg.type_ids()), user_scenarios, grouping
-        )
+        specs = user_specs_from_grouping(cfg.build_specs(), user_scenarios, grouping)
         lam = evaluate_lambda(
             list(cfg.sweeps.p_delta),
             list(cfg.sweeps.theta_bar),
@@ -359,8 +345,8 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path], 
         rows = []
         for value in grid:
             value = float(value)
-            scenarios, overrides = _KAPPA_AXES[axis](user_scenarios, value)
-            runs = [_schemes(cfg, scenarios, g, **overrides) for g in groupings]
+            point, scenarios = _KAPPA_AXES[axis](cfg, user_scenarios, value)
+            runs = [_schemes(point, scenarios, g) for g in groupings]
             rows.append(_kappa_row(value, runs))
         _write_rows(path, [axis] + _KAPPA_HEADER, rows)
     elif axis == "elastic_fraction":
@@ -371,11 +357,9 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path], 
         rows = []
         for value in grid:
             row = [float(value)]
+            point = _with_storage(cfg, elastic_fraction=row[0])
             for sch in ("pt", "pi"):
-                results = [
-                    _optimize_one(cfg, user_scenarios, g, sch, elastic_fraction=row[0])[0]
-                    for g in groupings
-                ]
+                results = [_optimize_one(point, user_scenarios, g, sch)[0] for g in groupings]
                 row += [
                     mean(r.best_price.p_delta for r in results),
                     mean(_total_capacity(r) for r in results),

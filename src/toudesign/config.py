@@ -1,16 +1,20 @@
 """Experiment configuration: one YAML file, everything explicit.
 
 Every field has a default and the full resolved configuration is written
-into the run artifact so no value stays implicit. Storage costs for K types
+into the run artifact so no value stays implicit. Each value read from a
+file is checked against its field's declared type (an int serves for a
+float, a bool for neither) and kept as loaded. Storage costs for K types
 spread around a mean cost theta_bar by the diversity coefficient delta_s;
 with four types the levels are theta_bar * (1 -+ 1.5 delta_s, 1 -+ 0.5
-delta_s).
+delta_s). delta_s must be >= 0 and every level > 0, so with K > 1 types
+delta_s < 2 / (K - 1).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Mapping
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import cache
+from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -31,12 +35,49 @@ from .response import StorageSpec
 DEFAULT_PEAK_HOURS = (18, 19, 20, 21, 22, 23, 0)
 
 
-def _known_keys(cls, data: Mapping[str, Any] | None, where: str) -> dict:
-    data = dict(data or {})
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+@cache
+def _type_hints(cls) -> dict[str, Any]:
+    return get_type_hints(cls)
+
+
+def _fits(value, tp) -> bool:
+    """Whether a value as loaded from YAML fits the declared type `tp`."""
+    if tp is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if tp in (int, str):
+        return isinstance(value, tp) and not isinstance(value, bool)
+    if tp is type(None):
+        return value is None
+    args = get_args(tp)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_fits(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    return any(_fits(value, a) for a in args)  # a union
+
+
+def _load(cls, raw, where: str | None = None):
+    """A `cls` from a mapping read from YAML; a field with a default factory
+    is a section, loaded from its own mapping. Sequences become tuples."""
+    raw = {} if raw is None else raw
+    if not isinstance(raw, Mapping):
+        raise InputError(f"{where or 'config'} must be a mapping, got {raw!r}")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
-        raise InputError(f"unknown {where} keys: {unknown}")
-    return data
+        raise InputError(f"unknown {where or 'config'} keys: {unknown}")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name not in raw:
+            continue
+        value, key = raw[f.name], f"{where}.{f.name}" if where else f.name
+        if f.default_factory is not MISSING:
+            value = _load(f.default_factory, value, key)
+        elif not _fits(value, _type_hints(cls)[f.name]):
+            raise InputError(f"{key} must be {f.type}, got {value!r}")
+        kwargs[f.name] = tuple(value) if isinstance(value, list) else value
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -131,8 +172,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.data.units not in ("mwh", "kwh"):
             raise InputError("data.units must be 'mwh' or 'kwh'")
-        if not 0 <= self.storage.delta_s < 2.0 / 3.0:
-            raise InputError("storage.delta_s must lie in [0, 2/3)")
+        if self.storage.delta_s < 0:
+            raise InputError("storage.delta_s must be >= 0")
         if self.pricing.mode not in ("auto", "plain", "extended"):
             raise InputError("pricing.mode must be auto, plain or extended")
         if self.grouping.mode not in ("fixed", "random"):
@@ -147,34 +188,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "ExperimentConfig":
-        raw = _known_keys(cls, raw, "config")
-        kwargs: dict[str, Any] = {}
-        for name, sub in (
-            ("data", DataCfg),
-            ("synthetic", SyntheticCfg),
-            ("supply", SupplyCfg),
-            ("annuity", AnnuityCfg),
-            ("storage", StorageCfg),
-            ("pricing", PricingCfg),
-            ("grouping", GroupingCfg),
-            ("sweeps", SweepsCfg),
-            ("solver", SolverCfg),
-        ):
-            if name in raw:
-                kwargs[name] = sub(**_known_keys(sub, raw[name], name))
-        if "peak_hours" in raw:
-            kwargs["peak_hours"] = tuple(int(h) for h in raw["peak_hours"])
-        if "seed" in raw:
-            kwargs["seed"] = int(raw["seed"])
-        return cls(**kwargs)
+        return _load(cls, raw)
 
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
-        if not isinstance(raw, Mapping):
-            raise InputError("config file must contain a mapping")
-        return cls.from_dict(raw)
+            return cls.from_dict(yaml.safe_load(fh))
 
     def snapshot(self) -> dict:
         """Fully resolved configuration, defaults included."""
@@ -198,37 +217,20 @@ class ExperimentConfig:
             raise InputError("either theta_bar or capital_cost_per_mwh is required")
         return daily_cost_factor(self.annuity_params()) * self.storage.capital_cost_per_mwh
 
-    def type_thetas(
-        self, theta_bar: float | None = None, delta_s: float | None = None
-    ) -> list[float]:
+    def type_thetas(self) -> list[float]:
         k = self.storage.n_types
-        tb = self.theta_bar_value() if theta_bar is None else float(theta_bar)
-        ds = self.storage.delta_s if delta_s is None else float(delta_s)
+        tb, ds = self.theta_bar_value(), self.storage.delta_s
         centre = (k + 1) / 2.0
         return [tb * (1.0 + (i - centre) * ds) for i in range(1, k + 1)]
 
-    def build_specs(
-        self,
-        type_ids,
-        theta_bar: float | None = None,
-        delta_s: float | None = None,
-        eta: float | None = None,
-        tau: float | None = None,
-        elastic_cost: float | None | str = "config",
-    ) -> dict[str, StorageSpec]:
-        """Storage specs for the given type ids, cheapest type first."""
-        thetas = self.type_thetas(theta_bar, delta_s)
-        if len(type_ids) != len(thetas):
-            raise InputError(
-                f"{len(type_ids)} type ids but {len(thetas)} cost levels configured"
-            )
-        eta_c = self.storage.eta_c if eta is None else float(eta)
-        eta_d = self.storage.eta_d if eta is None else float(eta)
-        tau = self.storage.tau if tau is None else float(tau)
-        e_shift = self.storage.elastic_cost if elastic_cost == "config" else elastic_cost
+    def build_specs(self) -> dict[str, StorageSpec]:
+        """Storage specs by type id, cheapest type first. The elastic cost
+        applies only where some demand is elastic."""
+        st = self.storage
+        e_shift = st.elastic_cost if st.elastic_fraction != 0.0 else None
         return {
-            t: StorageSpec(theta=theta, eta_c=eta_c, eta_d=eta_d, tau=tau, e_shift=e_shift)
-            for t, theta in zip(type_ids, sorted(thetas))
+            t: StorageSpec(theta=theta, eta_c=st.eta_c, eta_d=st.eta_d, tau=st.tau, e_shift=e_shift)
+            for t, theta in zip(self.type_ids(), sorted(self.type_thetas()))
         }
 
     def load_user_scenarios(self, seed: int | None = None) -> ScenarioSet:

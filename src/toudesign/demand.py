@@ -273,12 +273,12 @@ class HourlyLoadTable:
         day_index = {d: i for i, d in enumerate(days)}
         entity_index = {e: j for j, e in enumerate(entities)}
         cells = np.array([day_index[d] * len(entities) + entity_index[e] for d, e in keys])
-        _, first, counts = np.unique(cells, return_index=True, return_counts=True)
+        counts = np.bincount(cells, minlength=len(days) * len(entities))
         if counts.max() > 1:
-            day, entity = keys[int(first[counts > 1].min())]
+            day, entity = keys[int(np.argmax(counts[cells] > 1))]
             raise InputError(f"duplicate load row for day={day!r}, entity={entity!r}")
-        if len(keys) < len(days) * len(entities):
-            gap = int(np.setdiff1d(np.arange(len(days) * len(entities)), cells)[0])
+        if counts.min() == 0:
+            gap = int(np.argmin(counts))
             day, entity = days[gap // len(entities)], entities[gap % len(entities)]
             raise InputError(f"missing load row for day={day!r}, entity={entity!r}")
         # Unit conversion and solar netting work in place on the buffer.

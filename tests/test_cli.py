@@ -3,6 +3,7 @@ import json
 from dataclasses import replace
 
 import numpy as np
+import pytest
 import yaml
 
 from toudesign import PeriodStructure, ScenarioSet
@@ -333,6 +334,82 @@ def test_bad_config_key_is_invalid_input(tmp_path):
     assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     # no resolved configuration, so nothing to record
     assert not (tmp_path / "o" / "run_meta.json").exists()
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ({"storage": {"theta_bar": "ten"}}, "storage.theta_bar"),
+        ({"storage": {"n_types": "four"}}, "storage.n_types"),
+        ({"synthetic": {"n_outcomes": "7"}}, "synthetic.n_outcomes"),
+        ({"sweeps": {"theta_bar": 5}}, "sweeps.theta_bar"),
+        ({"peak_hours": [18, "x"]}, "peak_hours"),
+        ({"storage": [1, 2]}, "storage"),
+        ({"storage": {"n_types": True}}, "storage.n_types"),
+        ({"pricing": {"p_o_range": [0.0, 1.0, 2.0]}}, "pricing.p_o_range"),
+    ],
+)
+def test_malformed_config_value_is_invalid_input(tmp_path, capsys, override, key):
+    cfg = write_config(tmp_path, override)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--axis", "theta_bar"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and f" {key} " in err, err
+    assert not (out / "run_meta.json").exists()
+
+
+def test_config_keeps_values_as_loaded(tmp_path):
+    from toudesign import ExperimentConfig
+
+    cfg = ExperimentConfig.from_yaml(
+        write_config(tmp_path, {"annuity": {"years": 10}, "sweeps": {"p_delta": [0, 2.5]}})
+    )
+    assert cfg.snapshot()["annuity"]["years"] == 10
+    assert [type(v) for v in cfg.sweeps.p_delta] == [int, float]
+
+
+def test_sweep_lambda_ignores_elastic_cost_without_elastic_demand(tmp_path):
+    # the cheapest type costs 0.51 < elastic_cost, harmless at fraction 0
+    cfg = write_config(
+        tmp_path,
+        {
+            "storage": {"elastic_cost": 0.55},
+            "sweeps": {"p_delta": [0.0, 1.0], "theta_bar": [0.6]},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--axis", "lambda"]) == 0
+    assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+def test_sweep_delta_s_beyond_two_thirds_with_two_types(tmp_path):
+    cfg = write_config(tmp_path, {"sweeps": {"delta_s": [0.8]}})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--axis", "delta_s"]) == 0
+    assert len(read_csv(out / "sweep_delta_s.csv")) == 1
+
+
+@pytest.mark.parametrize("axis, value", [("theta_bar", 0), ("delta_s", -0.1)])
+def test_sweep_point_is_validated_like_a_file(tmp_path, axis, value):
+    cfg = write_config(tmp_path, {"sweeps": {axis: [value]}})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--axis", axis]) == 2
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["exit_status"] == 2
+    assert meta["outputs"] == []
+
+
+def test_cost_spread_with_a_non_positive_type_cost_is_invalid(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        {
+            "synthetic": {"n_types": 4, "users_per_type": 1},
+            "storage": {"n_types": 4, "delta_s": 0.7},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not (out / "run_meta.json").exists()
 
 
 def test_extended_mode_requires_p_o_range(tmp_path):

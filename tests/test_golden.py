@@ -1,10 +1,16 @@
-"""`optimize --scheme both` on the example config against committed outputs.
+"""The command line on committed configs against committed outputs.
 
-tests/golden/example holds the result, trace and response tables of that
-command. A refactor of the tariff search must reproduce them: the response
-tables and the evaluated price differences byte for byte, the result tables
-byte for byte except the scan cost, and the scanned social costs within
-1e-12 relative (they may move by summation order).
+tests/golden/example holds the result, trace and response tables of
+`optimize --scheme both` on the example config. A refactor of the tariff
+search must reproduce them: the response tables and the evaluated price
+differences byte for byte, the result tables byte for byte except the scan
+cost, and the scanned social costs within 1e-12 relative (they may move by
+summation order).
+
+It also holds `benchmark`'s tables and the theta_bar, delta_s, delta_d and
+lambda sweeps on the example config; tests/golden/study holds a small
+study-shaped config and its tau, eta and elastic_fraction sweeps, which the
+example config cannot run. These are reproduced byte for byte.
 """
 
 import csv
@@ -17,6 +23,7 @@ from toudesign.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "example"
+STUDY = ROOT / "tests" / "golden" / "study"
 REL = 1e-12
 
 
@@ -60,3 +67,26 @@ def test_trace_candidates_identical_and_costs_within_1e12(example_out, scheme):
     assert [row[0] for row in got] == [row[0] for row in want]
     for g, w in zip(got[1:], want[1:]):
         assert float(g[1]) == pytest.approx(float(w[1]), rel=REL, abs=0.0)
+
+
+BYTE_IDENTICAL = [
+    (["benchmark"], GOLDEN, ["ratios.json", "structure.json", "so_plan.json"]),
+    *(
+        (["sweep", "--axis", axis], GOLDEN, [f"sweep_{axis}.csv"])
+        for axis in ("theta_bar", "delta_s", "delta_d", "lambda")
+    ),
+    *(
+        (["sweep", "--axis", axis], STUDY, [f"sweep_{axis}.csv"])
+        for axis in ("tau", "eta", "elastic_fraction")
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, golden, names", BYTE_IDENTICAL, ids=[" ".join(a) for a, _, _ in BYTE_IDENTICAL]
+)
+def test_command_outputs_are_byte_identical(tmp_path, argv, golden, names):
+    config = ROOT / "configs" / "example.yaml" if golden == GOLDEN else STUDY / "config.yaml"
+    assert main([*argv, "--config", str(config), "--out", str(tmp_path)]) == 0
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
