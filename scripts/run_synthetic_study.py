@@ -3,8 +3,8 @@
 
 Covers the mean-cost sweep, cost-diversity sweep, demand-variance sweep, the
 price/cost ratio map, the elastic-demand sweep and the efficiency sweep, all
-on seeded uniform-demand instances. Takes a couple of minutes at the default
-sizes.
+on seeded uniform-demand instances. The whole battery takes under a second
+at the default sizes on a 2-vCPU machine.
 """
 
 import argparse

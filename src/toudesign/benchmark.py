@@ -279,6 +279,10 @@ def solve_so(
     stalls; the returned plan carries the optimality residual of its final
     capacities. Raises ConvergenceError carrying the best incumbent if the
     objective has not stalled within max_iterations sweeps.
+
+    The planner sees only each user's storage cost theta: it sizes lossless,
+    non-degrading storage on inelastic demand, whatever the efficiency,
+    degradation or elastic share the tariff schemes are evaluated with.
     """
     settings = settings or SolverSettings()
     missing = [e for e in scenarios.entities if e not in thetas]

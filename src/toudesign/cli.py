@@ -30,7 +30,6 @@ import yaml
 
 from . import __version__
 from .benchmark import (
-    SolverSettings,
     compute_ratios,
     solve_so,
     validate_structure_pricing,
@@ -153,18 +152,16 @@ def _optimize_one(
     """Optimal tariff of one scheme, with the pricing instance it was found on
     as (pricing scenarios, pricing specs, periods, supply, elastic fraction)."""
     periods = cfg.periods()
-    supply = cfg.supply_params()
+    supply = cfg.supply
     fraction = cfg.storage.elastic_fraction
     type_specs = cfg.build_specs()
     if scheme == "pt":
         pricing_scen = aggregate_by_type(user_scenarios, grouping)
         pricing_specs = {t: type_specs[t] for t in pricing_scen.entities}
         args = (pricing_scen, pricing_specs, user_scenarios, grouping, periods, supply)
-    elif scheme == "pi":
+    else:
         user_specs = user_specs_from_grouping(type_specs, user_scenarios, grouping)
         args = (user_scenarios, user_specs, None, None, periods, supply)
-    else:
-        raise InputError(f"unknown scheme {scheme!r}")
     if _is_extended(cfg):
         p_o_range, steps = _p_o_grid(cfg)
         result = optimize_prices_extended(
@@ -270,8 +267,7 @@ def _schemes(cfg, user_scenarios, grouping):
     pt, _ = _optimize_one(cfg, user_scenarios, grouping, "pt")
     pi, (_, user_specs, periods, supply, _) = _optimize_one(cfg, user_scenarios, grouping, "pi")
     thetas = {e: spec.theta for e, spec in user_specs.items()}
-    settings = SolverSettings(cfg.solver.tolerance, cfg.solver.max_iterations)
-    plan = solve_so(user_scenarios, thetas, periods, supply, settings)
+    plan = solve_so(user_scenarios, thetas, periods, supply, cfg.solver)
     sc_no = no_storage_cost(user_scenarios, periods, supply).total
     ratios = compute_ratios(
         pt.social_cost.total, pi.social_cost.total, plan.social_cost.total, sc_no
@@ -318,7 +314,7 @@ _KAPPA_AXES = {
 def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path], axis: str) -> int:
     user_scenarios = cfg.load_user_scenarios(seed)
     groupings = cfg.groupings(user_scenarios.entities)
-    grid = getattr(cfg.sweeps, axis, None) if axis != "lambda" else None
+    grid = getattr(cfg.sweeps, axis) if axis != "lambda" else None
     path = out / f"sweep_{axis}.csv"
     if axis == "lambda":
         if not cfg.sweeps.p_delta or not cfg.sweeps.theta_bar:
@@ -331,8 +327,9 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path], 
             user_scenarios,
             specs,
             cfg.periods(),
-            cfg.supply_params(),
+            cfg.supply,
             p_offpeak=cfg.pricing.p_offpeak,
+            elastic_fraction=cfg.storage.elastic_fraction,
         )
         rows = []
         for i, pd in enumerate(cfg.sweeps.p_delta):
@@ -349,7 +346,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path], 
             runs = [_schemes(point, scenarios, g) for g in groupings]
             rows.append(_kappa_row(value, runs))
         _write_rows(path, [axis] + _KAPPA_HEADER, rows)
-    elif axis == "elastic_fraction":
+    else:
         if not grid:
             raise InputError("sweeps.elastic_fraction grid is empty")
         if cfg.storage.elastic_cost is None:
@@ -368,8 +365,6 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path], 
             rows.append(row)
         header = [f"{m}_{sch}" for sch in ("pt", "pi") for m in ("pdelta", "capacity", "sc")]
         _write_rows(path, ["elastic_fraction"] + header, rows)
-    else:
-        raise InputError(f"unknown sweep axis {axis!r}")
     outputs.append(path)
     print(f"wrote {path}")
     return 0
@@ -378,7 +373,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path], 
 def cmd_verify(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path]) -> int:
     failures = []
     results = {}
-    for name, ok, detail in verify_suite(cfg.periods(), cfg.supply_params(), seed):
+    for name, ok, detail in verify_suite(cfg.periods(), cfg.supply, seed):
         results[name] = {"ok": ok, "detail": detail}
         print(f"{'PASS' if ok else 'FAIL'} {name}" + (f": {detail}" if detail else ""))
         if not ok:
@@ -454,10 +449,8 @@ def main(argv=None) -> int:
             status = cmd_sweep(cfg, out, seed, outputs, args.axis)
         elif command == "benchmark":
             status = cmd_benchmark(cfg, out, seed, outputs)
-        elif command == "verify":
-            status = cmd_verify(cfg, out, seed, outputs)
         else:
-            raise InputError(f"unknown command {command!r}")
+            status = cmd_verify(cfg, out, seed, outputs)
     except OrderingViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         status = 3

@@ -3,22 +3,24 @@
 Every field has a default and the full resolved configuration is written
 into the run artifact so no value stays implicit. Each value read from a
 file is checked against its field's declared type (an int serves for a
-float, a bool for neither) and kept as loaded. Storage costs for K types
-spread around a mean cost theta_bar by the diversity coefficient delta_s;
-with four types the levels are theta_bar * (1 -+ 1.5 delta_s, 1 -+ 0.5
-delta_s). delta_s must be >= 0 and every level > 0, so with K > 1 types
-delta_s < 2 / (K - 1).
+float, a bool for neither) and kept as loaded. The supply, annuity and
+solver sections are the library's own parameter classes, range-checked at
+load for every command. Storage costs for K types spread around a mean cost
+theta_bar by the diversity coefficient delta_s; with four types the levels
+are theta_bar * (1 -+ 1.5 delta_s, 1 -+ 0.5 delta_s). delta_s must be >= 0
+and every level > 0, so with K > 1 types delta_s < 2 / (K - 1).
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from functools import cache
 from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
+from .benchmark import SolverSettings
 from .costs import AnnuityParams, SupplyCostParams, daily_cost_factor
 from .demand import (
     HourlyLoadTable,
@@ -58,26 +60,32 @@ def _fits(value, tp) -> bool:
     return any(_fits(value, a) for a in args)  # a union
 
 
-def _load(cls, raw, where: str | None = None):
-    """A `cls` from a mapping read from YAML; a field with a default factory
-    is a section, loaded from its own mapping. Sequences become tuples."""
+def _load(base, raw, where: str | None = None):
+    """`base` with the fields read from a YAML mapping replaced; a field whose
+    value in `base` is a dataclass is a section, loaded from its own mapping
+    and validated by its class, its errors prefixed with the section name.
+    Sequences become tuples."""
     raw = {} if raw is None else raw
     if not isinstance(raw, Mapping):
         raise InputError(f"{where or 'config'} must be a mapping, got {raw!r}")
-    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    unknown = sorted(set(raw) - {f.name for f in fields(base)})
     if unknown:
         raise InputError(f"unknown {where or 'config'} keys: {unknown}")
-    kwargs = {}
-    for f in fields(cls):
+    changes = {}
+    for f in fields(base):
         if f.name not in raw:
             continue
         value, key = raw[f.name], f"{where}.{f.name}" if where else f.name
-        if f.default_factory is not MISSING:
-            value = _load(f.default_factory, value, key)
-        elif not _fits(value, _type_hints(cls)[f.name]):
+        default = getattr(base, f.name)
+        if is_dataclass(default):
+            value = _load(default, value, key)
+        elif not _fits(value, _type_hints(type(base))[f.name]):
             raise InputError(f"{key} must be {f.type}, got {value!r}")
-        kwargs[f.name] = tuple(value) if isinstance(value, list) else value
-    return cls(**kwargs)
+        changes[f.name] = tuple(value) if isinstance(value, list) else value
+    try:
+        return replace(base, **changes)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") if where else exc
 
 
 @dataclass(frozen=True)
@@ -94,20 +102,6 @@ class SyntheticCfg:
     users_per_type: int = 4
     n_outcomes: int = 7
     peak_range_mwh: float = 10.0
-
-
-@dataclass(frozen=True)
-class SupplyCfg:
-    alpha: float = 2.0
-    beta: float = 0.0
-    gamma: float = 0.0
-
-
-@dataclass(frozen=True)
-class AnnuityCfg:
-    rate: float = 0.05
-    years: float = 10.0
-    days_per_year: float = 365.0
 
 
 @dataclass(frozen=True)
@@ -150,23 +144,17 @@ class SweepsCfg:
 
 
 @dataclass(frozen=True)
-class SolverCfg:
-    tolerance: float = 1e-11
-    max_iterations: int = 10_000
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    data: DataCfg = field(default_factory=DataCfg)
-    synthetic: SyntheticCfg = field(default_factory=SyntheticCfg)
+    data: DataCfg = DataCfg()
+    synthetic: SyntheticCfg = SyntheticCfg()
     peak_hours: tuple[int, ...] = DEFAULT_PEAK_HOURS
-    supply: SupplyCfg = field(default_factory=SupplyCfg)
-    annuity: AnnuityCfg = field(default_factory=AnnuityCfg)
-    storage: StorageCfg = field(default_factory=StorageCfg)
-    pricing: PricingCfg = field(default_factory=PricingCfg)
-    grouping: GroupingCfg = field(default_factory=GroupingCfg)
-    sweeps: SweepsCfg = field(default_factory=SweepsCfg)
-    solver: SolverCfg = field(default_factory=SolverCfg)
+    supply: SupplyCostParams = SupplyCostParams(alpha=2.0)
+    annuity: AnnuityParams = AnnuityParams(0.05, 10.0)
+    storage: StorageCfg = StorageCfg()
+    pricing: PricingCfg = PricingCfg()
+    grouping: GroupingCfg = GroupingCfg()
+    sweeps: SweepsCfg = SweepsCfg()
+    solver: SolverSettings = SolverSettings()
     seed: int = 0
 
     def __post_init__(self):
@@ -188,7 +176,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "ExperimentConfig":
-        return _load(cls, raw)
+        return _load(cls(), raw)
 
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":
@@ -202,20 +190,12 @@ class ExperimentConfig:
     def periods(self) -> PeriodStructure:
         return PeriodStructure(frozenset(self.peak_hours))
 
-    def supply_params(self) -> SupplyCostParams:
-        return SupplyCostParams(self.supply.alpha, self.supply.beta, self.supply.gamma)
-
-    def annuity_params(self) -> AnnuityParams:
-        return AnnuityParams(
-            self.annuity.rate, self.annuity.years, self.annuity.days_per_year
-        )
-
     def theta_bar_value(self) -> float:
         if self.storage.theta_bar is not None:
             return float(self.storage.theta_bar)
         if self.storage.capital_cost_per_mwh is None:
             raise InputError("either theta_bar or capital_cost_per_mwh is required")
-        return daily_cost_factor(self.annuity_params()) * self.storage.capital_cost_per_mwh
+        return daily_cost_factor(self.annuity) * self.storage.capital_cost_per_mwh
 
     def type_thetas(self) -> list[float]:
         k = self.storage.n_types

@@ -316,11 +316,13 @@ def evaluate_lambda(
     periods: PeriodStructure,
     supply: SupplyCostParams,
     p_offpeak: float = 0.0,
+    elastic_fraction: float = 0.0,
 ) -> np.ndarray:
     """Social cost relative to the no-storage cost over a price/cost grid.
 
     Entry [i, j] is the cost ratio at price difference p_delta_grid[i] with
-    every entity's storage costs rescaled so their mean is theta_bar_grid[j].
+    every entity's storage costs rescaled so their mean is theta_bar_grid[j]
+    and the given share of peak demand elastic, as in social_cost_curve.
     The no-storage denominator is computed once.
     """
     pds = np.asarray(p_delta_grid, dtype=float)
@@ -345,7 +347,13 @@ def evaluate_lambda(
         # Evaluating the no-shift point through the same vectorized call keeps
         # the denominator bit-identical to the zero-response numerator.
         totals = social_cost_curve(
-            scenarios, scaled, periods, supply, np.concatenate(([0.0], pds)), p_offpeak
+            scenarios,
+            scaled,
+            periods,
+            supply,
+            np.concatenate(([0.0], pds)),
+            p_offpeak,
+            elastic_fraction,
         )
         if denom is None:
             denom = float(totals[0])

@@ -358,6 +358,25 @@ def test_malformed_config_value_is_invalid_input(tmp_path, capsys, override, key
     assert not (out / "run_meta.json").exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("supply", "alpha", 0),
+        ("supply", "beta", -1),
+        ("annuity", "years", 0),
+        ("solver", "tolerance", 0),
+        ("solver", "max_iterations", 0),
+    ],
+)
+def test_out_of_range_section_value_is_invalid_at_load(tmp_path, capsys, section, key, value):
+    cfg = write_config(tmp_path, {section: {key: value}})
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: {section}: "), err
+    assert not (out / "run_meta.json").exists()
+
+
 def test_config_keeps_values_as_loaded(tmp_path):
     from toudesign import ExperimentConfig
 
@@ -380,6 +399,41 @@ def test_sweep_lambda_ignores_elastic_cost_without_elastic_demand(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--axis", "lambda"]) == 0
     assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+def test_sweep_lambda_with_elastic_demand(tmp_path):
+    from toudesign import ExperimentConfig, no_storage_cost, social_cost_curve, user_specs_from_grouping
+
+    grids = {"p_delta": [0.0, 0.2, 0.45, 1.0, 3.0], "theta_bar": [0.3, 0.6, 1.5]}
+    lam = {}
+    for fraction in (0.0, 0.3):
+        cfg_path = write_config(
+            tmp_path,
+            {"storage": {"elastic_cost": 0.4, "elastic_fraction": fraction}, "sweeps": grids},
+            name=f"cfg{fraction}.yaml",
+        )
+        out = tmp_path / f"out{fraction}"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out), "--axis", "lambda"]) == 0
+        lam[fraction] = [float(row["lambda"]) for row in read_csv(out / "sweep_lambda.csv")]
+    cfg = ExperimentConfig.from_yaml(cfg_path)
+    scen = cfg.load_user_scenarios()
+    specs = user_specs_from_grouping(cfg.build_specs(), scen, cfg.groupings(scen.entities)[0])
+    base = np.mean([spec.theta for spec in specs.values()])
+    sc_no = no_storage_cost(scen, cfg.periods(), cfg.supply).total
+    expected = []
+    for tb in grids["theta_bar"]:
+        scale = tb / base
+        scaled = {
+            e: replace(spec, theta=spec.theta * scale, e_shift=spec.e_shift * scale)
+            for e, spec in specs.items()
+        }
+        curve = social_cost_curve(
+            scen, scaled, cfg.periods(), cfg.supply, grids["p_delta"], elastic_fraction=0.3
+        )
+        expected.append(curve / sc_no)
+    # rows run over p_delta, then theta_bar
+    assert lam[0.3] == pytest.approx(np.array(expected).T.ravel(), rel=1e-12, abs=0.0)
+    assert lam[0.3] != lam[0.0]
 
 
 def test_sweep_delta_s_beyond_two_thirds_with_two_types(tmp_path):

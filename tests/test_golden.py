@@ -5,7 +5,9 @@ tests/golden/example holds the result, trace and response tables of
 search must reproduce them: the response tables and the evaluated price
 differences byte for byte, the result tables byte for byte except the scan
 cost, and the scanned social costs within 1e-12 relative (they may move by
-summation order).
+summation order). The command's run_meta.json must match the one kept there
+but for the timestamp and the output directory (the kept copy lists file
+names only).
 
 It also holds `benchmark`'s tables and the theta_bar, delta_s, delta_d and
 lambda sweeps on the example config; tests/golden/study holds a small
@@ -38,6 +40,14 @@ def example_out(tmp_path_factory):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def test_run_meta_matches_but_for_timestamp_and_output_paths(example_out):
+    got = json.loads((example_out / "run_meta.json").read_text())
+    want = json.loads((GOLDEN / "run_meta.json").read_text())
+    assert sorted(Path(p).name for p in got.pop("outputs")) == want.pop("outputs")
+    del got["timestamp"], want["timestamp"]
+    assert got == want
 
 
 @pytest.mark.parametrize("scheme", ["pt", "pi"])

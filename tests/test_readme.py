@@ -1,4 +1,6 @@
-"""The README's library example and command-line block run as documented."""
+"""The README's library example, command-line block and study script run as
+documented, and `import toudesign` leaves the command line and the oracles
+unloaded."""
 
 import os
 import re
@@ -11,6 +13,7 @@ from toudesign.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
+SRC_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
 def fenced_block(heading: str, language: str) -> str:
@@ -23,9 +26,8 @@ def fenced_block(heading: str, language: str) -> str:
 
 def test_readme_library_example_runs():
     code = fenced_block("## Library", "python")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True
+        [sys.executable, "-c", code], cwd=ROOT, env=SRC_ENV, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
     assert any(line.startswith("TouPrice(") for line in done.stdout.splitlines())
@@ -46,3 +48,30 @@ def test_readme_commands_run_on_the_shipped_config(tmp_path, monkeypatch, capsys
         argv[argv.index("--out") + 1] = str(out)
         assert main(argv[1:]) == 0, capsys.readouterr().err
         assert (out / "run_meta.json").is_file()
+
+
+def test_import_leaves_cli_and_oracles_unloaded():
+    code = (
+        "import sys, toudesign\n"
+        "print(sorted({'toudesign.cli', 'toudesign.oracles'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=SRC_ENV, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_synthetic_study_script_writes_every_sweep(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "scripts/run_synthetic_study.py", "--out", str(tmp_path)],
+        cwd=ROOT,
+        env=SRC_ENV,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    axes = ("theta_bar", "delta_s", "delta_d", "lambda", "tau", "eta", "elastic_fraction")
+    assert sorted(p.name for p in tmp_path.glob("sweep_*.csv")) == sorted(
+        f"sweep_{axis}.csv" for axis in axes
+    )
