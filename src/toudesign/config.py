@@ -5,7 +5,8 @@ into the run artifact so no value stays implicit. Each value read from a
 file is checked against its field's declared type (an int serves for a
 float, a bool for neither) and kept as loaded. The supply, annuity and
 solver sections are the library's own parameter classes, range-checked at
-load for every command. Storage costs for K types spread around a mean cost
+load for every command, as are data.solar_scale, data.reduce_to and
+storage.n_types. Storage costs for K types spread around a mean cost
 theta_bar by the diversity coefficient delta_s; with four types the levels
 are theta_bar * (1 -+ 1.5 delta_s, 1 -+ 0.5 delta_s). delta_s must be >= 0
 and every level > 0, so with K > 1 types delta_s < 2 / (K - 1).
@@ -95,6 +96,12 @@ class DataCfg:
     solar_scale: float = 1.0
     reduce_to: int | None = None
 
+    def __post_init__(self):
+        if not np.isfinite(self.solar_scale) or self.solar_scale < 0:
+            raise InputError("solar_scale must be finite and >= 0")
+        if self.reduce_to is not None and self.reduce_to < 1:
+            raise InputError("reduce_to must be >= 1")
+
 
 @dataclass(frozen=True)
 class SyntheticCfg:
@@ -115,6 +122,10 @@ class StorageCfg:
     tau: float = 0.0
     elastic_cost: float | None = None
     elastic_fraction: float = 0.0
+
+    def __post_init__(self):
+        if self.n_types < 1:
+            raise InputError("n_types must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 from operator import itemgetter
@@ -20,6 +21,9 @@ import numpy as np
 from .errors import InputError
 
 PROB_TOL = 1e-9
+# The C reader keeps day and entity names as bytes (a quarter of the memory
+# of str); names this long or longer, or not ASCII, go to the row parser.
+_KEY_WIDTH = 40
 
 
 @dataclass(frozen=True)
@@ -237,59 +241,93 @@ class HourlyLoadTable:
             raise InputError(f"unknown unit {units!r}, expected 'mwh' or 'kwh'")
         if not np.isfinite(solar_scale) or solar_scale < 0:
             raise InputError("solar scale factor must be finite and >= 0")
-        factor = 1.0 if units == "mwh" else 1e-3
-        load_cols = [f"h{i}" for i in range(24)]
-        solar_cols = [f"s{i}" for i in range(24)]
-        buffer = array("d")  # each row's load values, then its solar values
-        keys = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            # the last of repeated column names wins, as with csv.DictReader
-            col = {name: i for i, name in enumerate(next(reader, None) or [])}
-            if "day" not in col or "entity" not in col:
-                raise InputError("load csv must have 'day' and 'entity' columns")
-            missing = [c for c in load_cols if c not in col]
-            if missing:
-                raise InputError(f"load csv is missing hourly columns {missing}")
-            has_solar = all(c in col for c in solar_cols)
-            pick = itemgetter(*(col[c] for c in load_cols + (solar_cols if has_solar else [])))
-            day_col, entity_col = col["day"], col["entity"]
-            for lineno, row in enumerate(filter(None, reader), start=2):
-                try:
-                    hourly = list(map(float, pick(row)))
-                    key = (row[day_col], row[entity_col])
-                except (IndexError, ValueError):
-                    raise InputError(f"{path}:{lineno}: non-numeric hourly value") from None
-                if not all(map(math.isfinite, hourly)):
-                    raise InputError(
-                        f"day {key[0]!r}, entity {key[1]!r}: non-finite hourly value"
-                    )
-                buffer.extend(hourly)
-                keys.append(key)
-        if not keys:
-            raise InputError("load table is empty")
-        days = sorted({d for d, _ in keys})
-        entities = sorted({e for _, e in keys})
-        day_index = {d: i for i, d in enumerate(days)}
-        entity_index = {e: j for j, e in enumerate(entities)}
-        cells = np.array([day_index[d] * len(entities) + entity_index[e] for d, e in keys])
-        counts = np.bincount(cells, minlength=len(days) * len(entities))
-        if counts.max() > 1:
-            day, entity = keys[int(np.argmax(counts[cells] > 1))]
-            raise InputError(f"duplicate load row for day={day!r}, entity={entity!r}")
-        if counts.min() == 0:
-            gap = int(np.argmin(counts))
-            day, entity = days[gap // len(entities)], entities[gap % len(entities)]
-            raise InputError(f"missing load row for day={day!r}, entity={entity!r}")
-        # Unit conversion and solar netting work in place on the buffer.
-        rows = np.frombuffer(buffer).reshape(len(keys), -1)
-        rows *= factor
-        net = rows[:, :24]
-        if has_solar:
-            net -= rows[:, 24:] * solar_scale
-        np.maximum(net, 0.0, out=net)
-        net = net[np.argsort(cells)].reshape(len(days), len(entities), 24)
-        return cls(days, entities, net)
+        # The parsed rows are freed before the constructor copies the net load.
+        return cls(*_read_loads(path, 1.0 if units == "mwh" else 1e-3, solar_scale))
+
+
+def _read_loads(path, factor: float, solar_scale: float):
+    """(days, entities, net) of a load csv, as HourlyLoadTable.from_csv."""
+    load_cols = [f"h{i}" for i in range(24)]
+    solar_cols = [f"s{i}" for i in range(24)]
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        # the last of repeated column names wins, as with csv.DictReader
+        col = {name: i for i, name in enumerate(next(reader, None) or [])}
+        if "day" not in col or "entity" not in col:
+            raise InputError("load csv must have 'day' and 'entity' columns")
+        missing = [c for c in load_cols if c not in col]
+        if missing:
+            raise InputError(f"load csv is missing hourly columns {missing}")
+        has_solar = all(c in col for c in solar_cols)
+        usecols = [col[c] for c in ["day", "entity"] + load_cols + (solar_cols if has_solar else [])]
+        try:
+            keys, rows = _read_columns(fh, usecols)
+        except ValueError:
+            keys, rows = _parse_rows(path, fh, usecols)
+    if not len(keys):
+        raise InputError("load table is empty")
+    days, day_of = np.unique(keys[:, 0], return_inverse=True)
+    entities, entity_of = np.unique(keys[:, 1], return_inverse=True)
+    days, entities = days.astype(str).tolist(), entities.astype(str).tolist()
+    cells = day_of * len(entities) + entity_of
+    counts = np.bincount(cells, minlength=len(days) * len(entities))
+    if counts.max() > 1:
+        day, entity = keys[int(np.argmax(counts[cells] > 1))].astype(str).tolist()
+        raise InputError(f"duplicate load row for day={day!r}, entity={entity!r}")
+    if counts.min() == 0:
+        gap = int(np.argmin(counts))
+        day, entity = days[gap // len(entities)], entities[gap % len(entities)]
+        raise InputError(f"missing load row for day={day!r}, entity={entity!r}")
+    # Unit conversion and solar netting work in place on the parsed rows.
+    rows *= factor
+    net = rows[:, :24]
+    if has_solar:
+        rows[:, 24:] *= solar_scale
+        net -= rows[:, 24:]
+    np.maximum(net, 0.0, out=net)
+    return days, entities, net[np.argsort(cells)].reshape(len(days), len(entities), 24)
+
+
+def _read_columns(fh, usecols: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The data rows left in fh, read by numpy's C reader: (n, 2) keys and
+    (n, m) values. Raises ValueError where the row parser must decide: a short
+    row, a value only float() reads (`1_0`), a non-finite value, a long or
+    non-ASCII key."""
+    dtype = np.dtype([("key", f"S{_KEY_WIDTH}", 2), ("value", float, len(usecols) - 2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
+        table = np.loadtxt(
+            fh, dtype, delimiter=",", comments=None, quotechar='"', usecols=usecols, ndmin=1
+        )
+    keys, rows = table["key"], table["value"]
+    if np.char.str_len(keys).max(initial=0) >= _KEY_WIDTH or keys.view(np.uint8).max(initial=0) > 127:
+        raise ValueError("a key that may be cut short or is not ASCII")
+    if not np.isfinite(rows).all():
+        raise ValueError("a non-finite value")
+    return keys, rows
+
+
+def _parse_rows(path, fh, usecols: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """_read_columns row by row with float(), from the top of fh: the same
+    result where both succeed, and an InputError naming a bad row's line."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)  # the header
+    day_col, entity_col, *value_cols = usecols
+    pick = itemgetter(*value_cols)
+    buffer = array("d")  # each row's load values, then its solar values
+    keys = []
+    for row in filter(None, reader):
+        try:
+            hourly = list(map(float, pick(row)))
+            key = (row[day_col], row[entity_col])
+        except (IndexError, ValueError):
+            raise InputError(f"{path}:{reader.line_num}: non-numeric hourly value") from None
+        if not all(map(math.isfinite, hourly)):
+            raise InputError(f"day {key[0]!r}, entity {key[1]!r}: non-finite hourly value")
+        buffer.extend(hourly)
+        keys.append(key)
+    return np.array(keys, dtype=str).reshape(-1, 2), np.frombuffer(buffer).reshape(-1, len(value_cols))
 
 
 def ingest_hourly_loads(table: HourlyLoadTable, periods: PeriodStructure) -> ScenarioSet:

@@ -377,6 +377,28 @@ def test_out_of_range_section_value_is_invalid_at_load(tmp_path, capsys, section
     assert not (out / "run_meta.json").exists()
 
 
+@pytest.mark.parametrize("command", ["ingest", "optimize", "sweep", "benchmark", "verify"])
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("storage", "n_types", 0),
+        ("data", "solar_scale", -1),
+        ("data", "solar_scale", float("inf")),
+        ("data", "reduce_to", 0),
+    ],
+)
+def test_out_of_range_data_or_storage_value_fails_every_command(
+    tmp_path, capsys, command, section, key, value
+):
+    cfg = write_config(tmp_path, {section: {key: value}})
+    out = tmp_path / "out"
+    axis = ["--axis", "theta_bar"] if command == "sweep" else []
+    assert main([command, "--config", str(cfg), "--out", str(out), *axis]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: {section}: {key} must be "), err
+    assert not (out / "run_meta.json").exists()
+
+
 def test_config_keeps_values_as_loaded(tmp_path):
     from toudesign import ExperimentConfig
 

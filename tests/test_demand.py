@@ -1,10 +1,15 @@
+import csv
+import io
 import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toudesign import demand
 from toudesign import (
     HourlyLoadTable,
     InputError,
@@ -443,3 +448,141 @@ def test_load_table_csv_rejects_missing_columns(tmp_path):
     path.write_text("day,entity," + ",".join(f"h{i}" for i in range(24)) + "\n")
     with pytest.raises(InputError, match="empty"):
         HourlyLoadTable.from_csv(path)
+
+
+def test_load_table_csv_error_names_the_physical_line(tmp_path):
+    path = write_loads(tmp_path / "loads.csv", [(d, "a", np.ones(24), ZEROS) for d in ("d1", "d2", "d3")])
+    header, first, second, third = path.read_text().splitlines()
+    # a blank line 3 does not shift the bad value off line 5
+    path.write_text("\n".join([header, first, "", second, third.replace("1.0", "x", 1)]) + "\n")
+    with pytest.raises(InputError, match=re.escape(f"{path}:5: non-numeric hourly value")):
+        HourlyLoadTable.from_csv(path)
+    # nor does a quoted day that spans lines 2 and 3
+    quoted = '"d\n1"' + first[2:]
+    path.write_text("\n".join([header, quoted, second, third.replace("1.0", "x", 1)]) + "\n")
+    with pytest.raises(InputError, match=re.escape(f"{path}:5: non-numeric hourly value")):
+        HourlyLoadTable.from_csv(path)
+
+
+LOAD_HEADER = ["day", "entity"] + [f"h{i}" for i in range(24)] + [f"s{i}" for i in range(24)]
+
+
+def load_text(records, header=LOAD_HEADER, terminator="\n"):
+    return "".join(",".join(cells) + terminator for cells in [header, *records])
+
+
+def load_record(day, entity, value="1.5", solar="0.25"):
+    return [day, entity] + [value] * 24 + [solar] * 24
+
+
+GRID = [load_record(d, e, str(v)) for v, (d, e) in enumerate([("d1", "a"), ("d1", "b"), ("d2", "a"), ("d2", "b")])]
+COLUMN_ORDER = np.random.default_rng(5).permutation(len(LOAD_HEADER))
+
+
+def read_outcome(path, **kwargs):
+    try:
+        table = HourlyLoadTable.from_csv(path, **kwargs)
+    except InputError as exc:
+        return str(exc)
+    return table.days, table.entities, table.net
+
+
+def read_both_ways(path, **kwargs) -> bool:
+    """Check that from_csv gives what it gives with the row parser reading
+    every file; return whether its C reader took the file."""
+    with mock.patch.object(demand, "_parse_rows", wraps=demand._parse_rows) as row_parser:
+        fast = read_outcome(path, **kwargs)
+    with mock.patch.object(demand, "_read_columns", side_effect=ValueError):
+        slow = read_outcome(path, **kwargs)
+    if isinstance(fast, str) or isinstance(slow, str):
+        assert fast == slow
+    else:
+        assert fast[:2] == slow[:2] and all(type(k) is str for k in fast[0] + fast[1])
+        assert np.array_equal(fast[2], slow[2])
+    return not row_parser.called
+
+
+# name: (file text, whether numpy's C reader takes it)
+LOAD_CSV_CASES = {
+    "crlf": (load_text(GRID, terminator="\r\n"), True),
+    "blank lines": (load_text(GRID).replace("\n", "\n\n"), True),
+    "whitespace-only line": (load_text(GRID).replace("\n", "\n \n", 1), False),
+    "spaces in keys and values": (load_text([load_record(" d 1", "a b ", " 2.5 ")]), True),
+    "# in a key": (load_text([load_record("#d", "a#")]), True),
+    "quoted keys with commas": (load_text([load_record('"d,1"', '"a,""b"""')]), True),
+    "quoted key with a line break": (load_text([load_record('"d\r\n1"', "a")], terminator="\r\n"), True),
+    "shuffled columns": (load_text([[r[k] for k in COLUMN_ORDER] for r in GRID], [LOAD_HEADER[k] for k in COLUMN_ORDER]), True),
+    "repeated column": (load_text([r + ["7.0"] for r in GRID], LOAD_HEADER + ["h3"]), True),
+    "extra columns": (load_text([["note"] + r + ['"x,y"'] for r in GRID], ["note"] + LOAD_HEADER + ["tail"]), True),
+    "no solar columns": (load_text([r[:26] for r in GRID], LOAD_HEADER[:26]), True),
+    "long key": (load_text([load_record("d" * 40, "a")]), False),
+    "39-character key": (load_text([load_record("d" * 39, "a")]), True),
+    "Latin-1 key": (load_text([load_record("día", "a")]), False),
+    "other non-ASCII key": (load_text([load_record("d€", "a")]), False),
+    "1_0": (load_text([load_record("d", "a", "1_0")]), False),
+    "quoted numbers": (load_text([load_record("d", "a", '"1.5"')]), True),
+    "+1e-3": (load_text([load_record("d", "a", "+1e-3")]), True),
+    "inf": (load_text([load_record("d", "a", solar="inf")]), False),
+    "nan": (load_text([load_record("d", "a", "nan")]), False),
+    "short row": (load_text([load_record("d", "a")[:-1]]), False),
+    "duplicate row": (load_text(GRID + GRID[1:2]), True),
+    "missing row": (load_text(GRID[:3]), True),
+    "header only": (load_text([]), True),
+    "empty file": ("", True),
+}
+
+
+@pytest.mark.parametrize("case", LOAD_CSV_CASES)
+@pytest.mark.parametrize("units", ["mwh", "kwh"])
+def test_load_csv_c_reader_matches_row_parser(tmp_path, case, units):
+    text, c_reader = LOAD_CSV_CASES[case]
+    path = tmp_path / "loads.csv"
+    path.write_bytes(text.encode())
+    assert read_both_ways(path, units=units, solar_scale=0.5) == c_reader
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    keys=st.lists(st.text(alphabet=' d1#,"é\n', max_size=3), min_size=1, max_size=3, unique=True),
+    n_entities=st.integers(1, 2),
+    values=st.lists(st.floats(0.0, 5.0).map(repr), min_size=48, max_size=48),
+    odd=st.sampled_from(["", "1_0", "+1e-3", " 2 ", "inf", "nan", "x", "1e400"]),
+    drop=st.sampled_from([None, 0, -1]),
+    quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+    terminator=st.sampled_from(["\n", "\r\n"]),
+    blank=st.booleans(),
+    solar=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_load_csv_c_reader_matches_row_parser_on_generated_files(
+    tmp_path_factory, keys, n_entities, values, odd, drop, quoting, terminator, blank, solar, seed
+):
+    rng = np.random.default_rng(seed)
+    cells = [(d, e) for d in keys for e in keys[:n_entities]]
+    rows = [[d, e] + list(rng.permutation(values)) for d, e in cells]
+    if odd:
+        rows[rng.integers(len(rows))][2 + rng.integers(48)] = odd
+    if drop is not None:
+        rows.pop(drop)  # a missing cell, or a short row once the last cell is cut
+        if drop == -1 and rows:
+            rows[-1].pop()
+    header = LOAD_HEADER if solar else LOAD_HEADER[:26]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, quoting=quoting, lineterminator=terminator)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row[: len(header)])
+        if blank:
+            buffer.write(terminator)
+    path = tmp_path_factory.mktemp("loads") / "loads.csv"
+    path.write_bytes(buffer.getvalue().encode())
+    read_both_ways(path, units="kwh", solar_scale=0.5)
+
+
+def test_load_table_csv_emits_no_warning(tmp_path):
+    path = tmp_path / "loads.csv"
+    for text in (load_text([]), load_text(GRID).replace("\n", "\n\n")):
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            read_outcome(path)
