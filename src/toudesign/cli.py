@@ -150,10 +150,9 @@ def _optimize_one(
     scheme: str,
 ) -> tuple[PricingResult, tuple]:
     """Optimal tariff of one scheme, with the pricing instance it was found on
-    as (pricing scenarios, pricing specs, periods, supply, elastic fraction)."""
+    as (pricing scenarios, pricing specs, periods, supply)."""
     periods = cfg.periods()
     supply = cfg.supply
-    fraction = cfg.storage.elastic_fraction
     type_specs = cfg.build_specs()
     if scheme == "pt":
         pricing_scen = aggregate_by_type(user_scenarios, grouping)
@@ -164,21 +163,12 @@ def _optimize_one(
         args = (user_scenarios, user_specs, None, None, periods, supply)
     if _is_extended(cfg):
         p_o_range, steps = _p_o_grid(cfg)
-        result = optimize_prices_extended(
-            *args,
-            p_o_range,
-            steps,
-            cfg.pricing.epsilon,
-            elastic_fraction=fraction,
-        )
+        result = optimize_prices_extended(*args, p_o_range, steps, cfg.pricing.epsilon)
     else:
         result = optimize_price_difference(
-            *args,
-            cfg.pricing.epsilon,
-            p_offpeak=cfg.pricing.p_offpeak,
-            elastic_fraction=fraction,
+            *args, cfg.pricing.epsilon, p_offpeak=cfg.pricing.p_offpeak
         )
-    return result, (args[0], args[1], periods, supply, fraction)
+    return result, (args[0], args[1], periods, supply)
 
 
 def cmd_ingest(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path]) -> int:
@@ -265,7 +255,7 @@ def _schemes(cfg, user_scenarios, grouping):
     """PT, PI and the planner at one grid point, as (pt, pi, plan, ratios,
     per-user storage costs)."""
     pt, _ = _optimize_one(cfg, user_scenarios, grouping, "pt")
-    pi, (_, user_specs, periods, supply, _) = _optimize_one(cfg, user_scenarios, grouping, "pi")
+    pi, (_, user_specs, periods, supply) = _optimize_one(cfg, user_scenarios, grouping, "pi")
     thetas = {e: spec.theta for e, spec in user_specs.items()}
     plan = solve_so(user_scenarios, thetas, periods, supply, cfg.solver)
     sc_no = no_storage_cost(user_scenarios, periods, supply).total
@@ -329,7 +319,6 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path], 
             cfg.periods(),
             cfg.supply,
             p_offpeak=cfg.pricing.p_offpeak,
-            elastic_fraction=cfg.storage.elastic_fraction,
         )
         rows = []
         for i, pd in enumerate(cfg.sweeps.p_delta):

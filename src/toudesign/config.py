@@ -5,8 +5,10 @@ into the run artifact so no value stays implicit. Each value read from a
 file is checked against its field's declared type (an int serves for a
 float, a bool for neither) and kept as loaded. The supply, annuity and
 solver sections are the library's own parameter classes, range-checked at
-load for every command, as are data.solar_scale, data.reduce_to and
-storage.n_types. Storage costs for K types spread around a mean cost
+load for every command, as are the data, synthetic and pricing counts and
+bounds and the storage specs, which are built once at load so that
+`StorageSpec` checks the efficiencies, degradation cost and elastic demand
+of every type. Storage costs for K types spread around a mean cost
 theta_bar by the diversity coefficient delta_s; with four types the levels
 are theta_bar * (1 -+ 1.5 delta_s, 1 -+ 0.5 delta_s). delta_s must be >= 0
 and every level > 0, so with K > 1 types delta_s < 2 / (K - 1).
@@ -110,6 +112,12 @@ class SyntheticCfg:
     n_outcomes: int = 7
     peak_range_mwh: float = 10.0
 
+    def __post_init__(self):
+        if min(self.n_types, self.users_per_type, self.n_outcomes) < 1:
+            raise InputError("n_types, users_per_type and n_outcomes must be >= 1")
+        if not self.peak_range_mwh >= 0:
+            raise InputError("peak_range_mwh must be >= 0")
+
 
 @dataclass(frozen=True)
 class StorageCfg:
@@ -135,6 +143,12 @@ class PricingCfg:
     mode: str = "auto"  # auto | plain | extended
     p_o_range: tuple[float, float] | None = None
     p_o_steps: int = 1
+
+    def __post_init__(self):
+        if self.epsilon is not None and not self.epsilon > 0:
+            raise InputError("epsilon must be > 0")
+        if self.p_o_steps < 1:
+            raise InputError("p_o_steps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -184,6 +198,10 @@ class ExperimentConfig:
         stray = [t for t in self.type_thetas() if t <= 0]
         if stray:
             raise InputError(f"storage-cost spread produces non-positive costs {stray}")
+        try:
+            self.build_specs()
+        except InputError as exc:
+            raise InputError(f"storage: {exc}") from None
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "ExperimentConfig":
@@ -220,7 +238,10 @@ class ExperimentConfig:
         st = self.storage
         e_shift = st.elastic_cost if st.elastic_fraction != 0.0 else None
         return {
-            t: StorageSpec(theta=theta, eta_c=st.eta_c, eta_d=st.eta_d, tau=st.tau, e_shift=e_shift)
+            t: StorageSpec(
+                theta=theta, eta_c=st.eta_c, eta_d=st.eta_d, tau=st.tau,
+                e_shift=e_shift, elastic_fraction=st.elastic_fraction,
+            )
             for t, theta in zip(self.type_ids(), sorted(self.type_thetas()))
         }
 

@@ -166,6 +166,9 @@ class ScenarioSet:
 
     @classmethod
     def from_csv(cls, path) -> "ScenarioSet":
+        """Read rows as `to_csv` writes them. Every (outcome, entity) pair
+        must appear once, and the rows of one outcome must agree on its
+        probability."""
         outcomes: dict[int, dict[str, tuple[float, float, float]]] = {}
         entities: list[str] = []
         with open(path, newline="") as fh:
@@ -186,7 +189,12 @@ class ScenarioSet:
                 entity = row["entity"]
                 if entity not in entities:
                     entities.append(entity)
-                outcomes.setdefault(w, {})[entity] = cell
+                cells = outcomes.setdefault(w, {})
+                if entity in cells:
+                    raise InputError(f"duplicate scenario row for outcome {w}, entity {entity!r}")
+                if cells and cell[0] != next(iter(cells.values()))[0]:
+                    raise InputError(f"outcome {w} has conflicting probabilities")
+                cells[entity] = cell
         if not outcomes:
             raise InputError("scenario csv contains no rows")
         order = sorted(outcomes)

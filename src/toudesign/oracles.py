@@ -62,7 +62,6 @@ def grid_check(
     specs: Mapping[str, StorageSpec],
     periods: PeriodStructure,
     supply: SupplyCostParams,
-    elastic_fraction: float = 0.0,
 ) -> str | None:
     """Cross-check a threshold scan against a dense price grid.
 
@@ -71,13 +70,7 @@ def grid_check(
     within GRID_CHECK_TOL of the grid minimum, else a failure message.
     """
     totals = social_cost_curve(
-        scenarios,
-        specs,
-        periods,
-        supply,
-        grid,
-        p_offpeak=result.best_price.p_offpeak,
-        elastic_fraction=elastic_fraction,
+        scenarios, specs, periods, supply, grid, p_offpeak=result.best_price.p_offpeak
     )
     best_grid = float(totals.min())
     tol = GRID_CHECK_TOL * max(1.0, abs(best_grid))

@@ -9,10 +9,11 @@ and their costs come from the event sweep of `toudesign.scan`, over the
 whole instance at once; the chosen tariff's responses come from its array
 form of `respond`, which stays the scalar reference. `social_cost_curve`
 here re-sizes every entity at every price difference and stays the
-independent reference behind the grid checks. Pricing can be driven by
-per-type aggregates (the realistic information set) or by per-user data; in
-the type-based scheme the reported cost re-evaluates each individual user's
-response to the chosen tariff.
+independent reference behind the grid checks and the lambda map. Each
+entity's whole response model, elastic share included, comes from its
+`StorageSpec`. Pricing can be driven by per-type aggregates (the realistic
+information set) or by per-user data; in the type-based scheme the reported
+cost re-evaluates each individual user's response to the chosen tariff.
 """
 
 from __future__ import annotations
@@ -141,15 +142,12 @@ def _search(
     supply: SupplyCostParams,
     p_o_grid,
     eps: float | None,
-    elastic_fraction: float,
 ) -> PricingResult:
     """Threshold scan at every off-peak price of the grid; the first cheapest
     (off-peak price, price difference) pair wins and is re-evaluated per user."""
-    if not 0.0 <= elastic_fraction <= 1.0:
-        raise InputError("elastic_fraction must be in [0, 1]")
     if user_scenarios is not None and grouping is None:
         raise InputError("a grouping is required with user scenarios")
-    events = _StepEvents(pricing_scenarios, pricing_specs, elastic_fraction)
+    events = _StepEvents(pricing_scenarios, pricing_specs)
     best = None
     trace: list[tuple[float, float, float]] = []
     for p_o in p_o_grid:
@@ -164,7 +162,7 @@ def _search(
     else:
         scheme = "pt"
         user_specs = user_specs_from_grouping(pricing_specs, user_scenarios, grouping)
-    responses = _respond_all(price, user_scenarios, user_specs, elastic_fraction)
+    responses = _respond_all(price, user_scenarios, user_specs)
     sc = social_cost(
         user_scenarios, user_specs, responses, periods, supply, check_feasibility=False
     )
@@ -192,7 +190,6 @@ def optimize_price_difference(
     eps: float | None = None,
     *,
     p_offpeak: float = 0.0,
-    elastic_fraction: float = 0.0,
 ) -> PricingResult:
     """Threshold scan for the optimal price difference at a fixed off-peak price.
 
@@ -206,7 +203,7 @@ def optimize_price_difference(
     """
     return _search(
         pricing_scenarios, pricing_specs, user_scenarios, grouping, periods, supply,
-        [p_offpeak], eps, elastic_fraction,
+        [p_offpeak], eps,
     )
 
 
@@ -220,8 +217,6 @@ def optimize_prices_extended(
     p_o_range: tuple[float, float],
     p_o_steps: int,
     eps: float | None = None,
-    *,
-    elastic_fraction: float = 0.0,
 ) -> PricingResult:
     """Grid search over the off-peak price with a threshold scan per grid point.
 
@@ -237,7 +232,7 @@ def optimize_prices_extended(
     grid = [float(p_o) for p_o in np.linspace(lo, hi, int(p_o_steps))]
     return _search(
         pricing_scenarios, pricing_specs, user_scenarios, grouping, periods, supply,
-        grid, eps, elastic_fraction,
+        grid, eps,
     )
 
 
@@ -248,12 +243,12 @@ def social_cost_curve(
     supply: SupplyCostParams,
     p_deltas,
     p_offpeak: float = 0.0,
-    elastic_fraction: float = 0.0,
 ) -> np.ndarray:
     """Vectorized total social cost over an array of price differences.
 
-    Evaluates the same best responses as `respond` for every grid point; the
-    tariff scan, dense sweeps, ratio maps and grid cross-checks all run on it.
+    Evaluates the same best responses as `respond` for every grid point, one
+    entity at a time. It is the reference the event sweep of the tariff scan
+    is checked against: the dense-grid check and the lambda map run on it.
     Long arrays are evaluated in blocks of _CURVE_BLOCK points, so memory
     stays O(block x outcomes) whatever the number of price differences.
     """
@@ -262,12 +257,12 @@ def social_cost_curve(
     for start in range(0, pds.shape[0], _CURVE_BLOCK):
         block = pds[start : start + _CURVE_BLOCK]
         out[start : start + block.shape[0]] = _curve_block(
-            scenarios, specs, periods, supply, block, p_offpeak, elastic_fraction
+            scenarios, specs, periods, supply, block, p_offpeak
         )
     return out
 
 
-def _curve_block(scenarios, specs, periods, supply, pds, p_offpeak, elastic_fraction):
+def _curve_block(scenarios, specs, periods, supply, pds, p_offpeak):
     n_grid = pds.shape[0]
     peak_load = np.repeat(scenarios.aggregate_peak()[None, :], n_grid, axis=0)
     off_load = np.repeat(scenarios.aggregate_offpeak()[None, :], n_grid, axis=0)
@@ -283,7 +278,7 @@ def _curve_block(scenarios, specs, periods, supply, pds, p_offpeak, elastic_frac
         cap_sel, charge_sel = _sized(peak, probs, tr)
         q_sel = 0.0
         if spec.e_shift is not None:
-            elastic = elastic_fraction * peak
+            elastic = spec.elastic_fraction * peak
             cap_q, charge_q = _sized(peak - elastic, probs, tr)
             mask = pds > spec.e_shift
             q_sel = np.where(mask[:, None], elastic[None, :], 0.0)
@@ -316,14 +311,14 @@ def evaluate_lambda(
     periods: PeriodStructure,
     supply: SupplyCostParams,
     p_offpeak: float = 0.0,
-    elastic_fraction: float = 0.0,
 ) -> np.ndarray:
     """Social cost relative to the no-storage cost over a price/cost grid.
 
     Entry [i, j] is the cost ratio at price difference p_delta_grid[i] with
-    every entity's storage costs rescaled so their mean is theta_bar_grid[j]
-    and the given share of peak demand elastic, as in social_cost_curve.
-    The no-storage denominator is computed once.
+    every entity's storage and shift costs rescaled so their mean storage
+    cost is theta_bar_grid[j], as in social_cost_curve; each entity keeps
+    its spec's efficiencies, degradation cost and elastic share. The
+    no-storage denominator is computed once.
     """
     pds = np.asarray(p_delta_grid, dtype=float)
     tbs = np.asarray(theta_bar_grid, dtype=float)
@@ -347,13 +342,7 @@ def evaluate_lambda(
         # Evaluating the no-shift point through the same vectorized call keeps
         # the denominator bit-identical to the zero-response numerator.
         totals = social_cost_curve(
-            scenarios,
-            scaled,
-            periods,
-            supply,
-            np.concatenate(([0.0], pds)),
-            p_offpeak,
-            elastic_fraction,
+            scenarios, scaled, periods, supply, np.concatenate(([0.0], pds)), p_offpeak
         )
         if denom is None:
             denom = float(totals[0])

@@ -29,7 +29,9 @@ class StorageSpec:
     theta is the daily capacity cost in $/MWh/day, eta_c and eta_d the
     charge and discharge efficiencies, tau a degradation cost in $/MWh of
     energy moved. e_shift, when present, is the cost of shifting one MWh of
-    elastic demand and must be below theta.
+    elastic demand and must be below theta; elastic_fraction, in [0, 1], is
+    the share of each outcome's peak demand that is elastic. The share takes
+    effect only together with e_shift.
     """
 
     theta: float
@@ -37,6 +39,7 @@ class StorageSpec:
     eta_d: float = 1.0
     tau: float = 0.0
     e_shift: float | None = None
+    elastic_fraction: float = 0.0
 
     def __post_init__(self):
         if not self.theta > 0:
@@ -51,6 +54,8 @@ class StorageSpec:
                 raise InputError("e_shift must be >= 0")
             if not self.e_shift < self.theta:
                 raise InputError("e_shift must be below theta")
+        if not 0.0 <= self.elastic_fraction <= 1.0:
+            raise InputError("elastic_fraction must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -194,23 +199,16 @@ def threshold_set(
 
 
 def respond_elastic(
-    spec: StorageSpec,
-    peak: Sequence[float],
-    elastic: Sequence[float],
-    p_delta: float,
+    spec: StorageSpec, peak: Sequence[float], p_delta: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All-or-nothing elastic shift: move everything once p_delta exceeds the
-    shift cost, nothing otherwise. Returns (shifted, residual peak demand)."""
+    """All-or-nothing elastic shift of the spec's elastic share of peak
+    demand: move all of it once p_delta exceeds the shift cost, nothing
+    otherwise. Returns (shifted, residual peak demand)."""
     peak = np.asarray(peak, dtype=float)
-    elastic = np.asarray(elastic, dtype=float)
-    if elastic.shape != peak.shape:
-        raise InputError("elastic demand must cover every outcome")
-    if np.any(elastic < 0) or np.any(elastic > peak + 1e-12 * max(1.0, peak.max(initial=0.0))):
-        raise InputError("elastic demand must lie within [0, peak demand]")
     if spec.e_shift is not None and p_delta > spec.e_shift:
-        shifted = elastic.copy()
+        shifted = spec.elastic_fraction * peak
     else:
-        shifted = np.zeros_like(elastic)
+        shifted = np.zeros_like(peak)
     return shifted, np.maximum(peak - shifted, 0.0)
 
 
@@ -256,22 +254,19 @@ def respond(
     prices,
     probs: Sequence[float],
     peak: Sequence[float],
-    elastic: Sequence[float] | None = None,
 ) -> ResponseProfile:
     """Full best response of one entity to a tariff.
 
-    Applies the elastic shift, the equivalent transform and the discrete
-    capacity rule, then the per-outcome charge rule. Charges are returned in
-    purchased MWh.
+    Applies the elastic shift of the spec's elastic share, the equivalent
+    transform and the discrete capacity rule, then the per-outcome charge
+    rule. Charges are returned in purchased MWh.
     """
     probs = np.asarray(probs, dtype=float)
     peak = np.asarray(peak, dtype=float)
     if peak.shape != probs.shape:
         raise InputError("peak demand must cover every outcome")
     p_delta = prices.p_delta
-    if elastic is None:
-        elastic = np.zeros_like(peak)
-    shifted, residual = respond_elastic(spec, peak, elastic, p_delta)
+    shifted, residual = respond_elastic(spec, peak, p_delta)
     tr = equivalent_transform(spec, prices.p_offpeak, p_delta)
     demand_dag = residual * tr.peak_scale
     order = np.argsort(demand_dag, kind="stable")

@@ -40,12 +40,13 @@ class _SpecArrays(NamedTuple):
     eta_c: np.ndarray
     eta_d: np.ndarray
     tau: np.ndarray
+    elastic_fraction: np.ndarray
     e_shift: np.ndarray
 
     @classmethod
     def of(cls, specs) -> "_SpecArrays":
         return cls(
-            *(np.array([getattr(s, name) for s in specs]) for name in cls._fields[:4]),
+            *(np.array([getattr(s, name) for s in specs]) for name in cls._fields[:5]),
             np.array([np.nan if s.e_shift is None else s.e_shift for s in specs]),
         )
 
@@ -69,7 +70,7 @@ class _StepEvents:
     off-peak price.
     """
 
-    def __init__(self, scenarios: ScenarioSet, specs, elastic_fraction: float):
+    def __init__(self, scenarios: ScenarioSet, specs):
         spec_list = [specs[e] for e in scenarios.entities]
         arr = self.arr = _SpecArrays.of(spec_list)
         self.n = scenarios.n_entities
@@ -77,7 +78,7 @@ class _StepEvents:
         self.owner = np.concatenate((np.arange(self.n), el))
         peak = scenarios.peak
         scale = 1.0 / (arr.eta_c * arr.eta_d)
-        shifted = elastic_fraction * peak[:, el]
+        shifted = arr.elastic_fraction[el] * peak[:, el]
         demand = np.hstack((peak * scale, (peak[:, el] - shifted) * scale[el]))
         self.demand_rows = np.ascontiguousarray(demand.T)
         self.shifted_rows = np.ascontiguousarray(shifted.T)
@@ -193,7 +194,7 @@ class _StepEvents:
 
 
 def _respond_all(
-    price, scenarios: ScenarioSet, specs: Mapping[str, StorageSpec], elastic_fraction: float
+    price, scenarios: ScenarioSet, specs: Mapping[str, StorageSpec]
 ) -> dict[str, ResponseProfile]:
     """Every entity's `respond` to the tariff (a `TouPrice`) in one array
     pass, with the same elementwise arithmetic, so each profile is
@@ -201,7 +202,7 @@ def _respond_all(
     entities = scenarios.entities
     arr = _SpecArrays.of([specs[e] for e in entities])
     peak = scenarios.peak
-    shifted = np.where(price.p_delta > arr.e_shift, elastic_fraction * peak, 0.0)
+    shifted = np.where(price.p_delta > arr.e_shift, arr.elastic_fraction * peak, 0.0)
     tr = equivalent_transform(arr, price.p_offpeak, price.p_delta)
     demand = np.maximum(peak - shifted, 0.0) * tr.peak_scale
     steps, tails = _sorted_columns(demand, scenarios.probs)

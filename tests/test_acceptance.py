@@ -367,14 +367,12 @@ def test_criterion_9c_variance_sweep_dips():
 
 def test_criterion_9d_elastic_sweep_monotone():
     scen, grouping, type_ids = synthetic_instance()
-    specs = user_specs_from_grouping(
-        spread_specs(type_ids, 10.0, e_shift=2.0), scen, grouping
-    )
     pds, caps, scs = [], [], []
     for fraction in (0.0, 0.1, 0.2, 0.3):
-        result = optimize_price_difference(
-            scen, specs, None, None, EVENING, UNIT_SUPPLY, elastic_fraction=fraction
+        specs = user_specs_from_grouping(
+            spread_specs(type_ids, 10.0, e_shift=2.0, elastic_fraction=fraction), scen, grouping
         )
+        result = optimize_price_difference(scen, specs, None, None, EVENING, UNIT_SUPPLY)
         pds.append(result.best_price.p_delta)
         caps.append(sum(r.capacity for r in result.responses.values()))
         scs.append(result.social_cost.total)

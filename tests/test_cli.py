@@ -399,6 +399,32 @@ def test_out_of_range_data_or_storage_value_fails_every_command(
     assert not (out / "run_meta.json").exists()
 
 
+@pytest.mark.parametrize("command", ["ingest", "verify"])
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("storage", "eta_c", 2.0),
+        ("storage", "eta_d", 0),
+        ("storage", "tau", -1),
+        ("storage", "elastic_fraction", 1.5),
+        ("synthetic", "n_outcomes", 0),
+        ("synthetic", "users_per_type", 0),
+        ("synthetic", "peak_range_mwh", -1),
+        ("pricing", "p_o_steps", 0),
+        ("pricing", "epsilon", -1),
+    ],
+)
+def test_out_of_range_value_fails_commands_that_do_not_use_it(
+    tmp_path, capsys, command, section, key, value
+):
+    cfg = write_config(tmp_path, {section: {key: value}})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: {section}: ") and key in err, err
+    assert not (out / "run_meta.json").exists()
+
+
 def test_config_keeps_values_as_loaded(tmp_path):
     from toudesign import ExperimentConfig
 
@@ -449,9 +475,8 @@ def test_sweep_lambda_with_elastic_demand(tmp_path):
             e: replace(spec, theta=spec.theta * scale, e_shift=spec.e_shift * scale)
             for e, spec in specs.items()
         }
-        curve = social_cost_curve(
-            scen, scaled, cfg.periods(), cfg.supply, grids["p_delta"], elastic_fraction=0.3
-        )
+        assert {spec.elastic_fraction for spec in scaled.values()} == {0.3}
+        curve = social_cost_curve(scen, scaled, cfg.periods(), cfg.supply, grids["p_delta"])
         expected.append(curve / sc_no)
     # rows run over p_delta, then theta_bar
     assert lam[0.3] == pytest.approx(np.array(expected).T.ravel(), rel=1e-12, abs=0.0)

@@ -102,19 +102,15 @@ def test_social_cost_curve_matches_pointwise_evaluation(quadratic_supply):
 def test_social_cost_curve_matches_pointwise_with_elastic(quadratic_supply):
     rng = np.random.default_rng(118)
     scen = random_scenarios(rng, 2, 4)
-    specs = random_specs(rng, scen.entities, theta_range=(1.0, 3.0), e_shift=0.4)
-    fraction = 0.25
-    pds = np.concatenate((rng.uniform(0.0, 8.0, 20), [0.4, 0.40001]))
-    curve = social_cost_curve(
-        scen, specs, HALF_DAY, quadratic_supply, pds, elastic_fraction=fraction
+    specs = random_specs(
+        rng, scen.entities, theta_range=(1.0, 3.0), e_shift=0.4, elastic_fraction=0.25
     )
+    pds = np.concatenate((rng.uniform(0.0, 8.0, 20), [0.4, 0.40001]))
+    curve = social_cost_curve(scen, specs, HALF_DAY, quadratic_supply, pds)
     for i, pd in enumerate(pds):
         price = TouPrice(float(pd), 0.0)
         responses = {
-            e: respond(
-                specs[e], price, scen.probs, scen.peak[:, j],
-                fraction * scen.peak[:, j],
-            )
+            e: respond(specs[e], price, scen.probs, scen.peak[:, j])
             for j, e in enumerate(scen.entities)
         }
         sc = social_cost(scen, specs, responses, HALF_DAY, quadratic_supply)
@@ -345,24 +341,13 @@ def test_extended_validates_range():
 def test_elastic_candidates_include_shift_cost(quadratic_supply):
     peak = np.array([[4.0], [6.0]])
     scen = ScenarioSet(("u",), np.array([0.5, 0.5]), peak, np.zeros_like(peak))
-    specs = {"u": StorageSpec(theta=2.0, e_shift=0.7)}
-    result = optimize_price_difference(
-        scen,
-        specs,
-        None,
-        None,
-        HALF_DAY,
-        quadratic_supply,
-        elastic_fraction=0.25,
-    )
+    specs = {"u": StorageSpec(theta=2.0, e_shift=0.7, elastic_fraction=0.25)}
+    result = optimize_price_difference(scen, specs, None, None, HALF_DAY, quadratic_supply)
     evaluated = {round(pd - result.epsilon, 9) for _, pd, _ in result.trace}
     assert 0.7 in evaluated
     for fraction in (-0.1, 1.5):
         with pytest.raises(InputError):
-            optimize_price_difference(
-                scen, specs, None, None, HALF_DAY, quadratic_supply,
-                elastic_fraction=fraction,
-            )
+            replace(specs["u"], elastic_fraction=fraction)
 
 
 def test_lambda_map_regions():
@@ -399,15 +384,11 @@ def test_scan_vs_grid_with_elastic_demand(quadratic_supply):
         scen = random_scenarios(rng, 2, 3)
         specs = random_specs(rng, scen.entities, theta_range=(0.5, 3.0), e_shift=0.2)
         fraction = float(rng.uniform(0.05, 0.3))
-        result = optimize_price_difference(
-            scen, specs, None, None, HALF_DAY, quadratic_supply,
-            elastic_fraction=fraction,
-        )
+        specs = {e: replace(s, elastic_fraction=fraction) for e, s in specs.items()}
+        result = optimize_price_difference(scen, specs, None, None, HALF_DAY, quadratic_supply)
         hi = max(pd for _, pd, _ in result.trace) * 1.5 + 1.0
         grid = np.linspace(0.0, hi, 8000)
-        totals = social_cost_curve(
-            scen, specs, HALF_DAY, quadratic_supply, grid, elastic_fraction=fraction
-        )
+        totals = social_cost_curve(scen, specs, HALF_DAY, quadratic_supply, grid)
         assert result.scan_cost <= totals.min() + 1e-9
 
 
@@ -467,8 +448,10 @@ def _duplicated(scen):
     return ScenarioSet(scen.entities, scen.probs, peak, scen.offpeak)
 
 
-def _mixed_elastic(rng, entities):
-    specs = random_specs(rng, entities, theta_range=(0.5, 4.0))
+def _mixed_elastic(rng, entities, fraction):
+    """Every third entity (the first included) without a shift cost, all of
+    them with the given elastic share."""
+    specs = random_specs(rng, entities, theta_range=(0.5, 4.0), elastic_fraction=fraction)
     return {
         e: replace(s, e_shift=float(rng.uniform(0.0, s.theta))) if k % 3 else s
         for k, (e, s) in enumerate(specs.items())
@@ -476,60 +459,64 @@ def _mixed_elastic(rng, entities):
 
 
 def _engine_case(name, rng):
-    """(scenarios, specs, off-peak grid or None, elastic fraction)."""
+    """(scenarios, specs, off-peak grid or None)."""
     scen = random_scenarios(rng, 4, 6)
     if name == "lossless":
-        return scen, random_specs(rng, scen.entities), None, 0.0
+        return scen, random_specs(rng, scen.entities), None
     if name == "lossy_degrading":
         specs = random_specs(rng, scen.entities, eta_c=0.92, eta_d=0.85, tau=0.15)
         specs[scen.entities[0]] = replace(specs[scen.entities[0]], eta_c=1.0, tau=0.0)
-        return scen, specs, (0.0, 2.0, 3), 0.0
+        return scen, specs, (0.0, 2.0, 3)
     if name == "elastic":
-        return scen, _mixed_elastic(rng, scen.entities), None, 0.35
+        return scen, _mixed_elastic(rng, scen.entities, 0.35), None
     if name == "elastic_lossy":
         specs = {
             e: replace(s, eta_c=0.9, eta_d=0.9, tau=0.05)
-            for e, s in _mixed_elastic(rng, scen.entities).items()
+            for e, s in _mixed_elastic(rng, scen.entities, 1.0).items()
         }
-        return scen, specs, (0.0, 1.0, 3), 1.0
+        return scen, specs, (0.0, 1.0, 3)
+    if name == "elastic_per_entity":
+        # u1 and u2 shift different shares; u0 and the lossy u3 carry a
+        # share but no shift cost, so they never shift
+        specs = _mixed_elastic(rng, scen.entities, 0.6)
+        specs["u1"] = replace(specs["u1"], elastic_fraction=0.15)
+        specs["u3"] = replace(specs["u3"], eta_c=0.95, eta_d=0.9, elastic_fraction=1.0)
+        return scen, specs, (0.0, 1.0, 2)
     if name == "duplicate_outcomes":
-        return _duplicated(scen), random_specs(rng, scen.entities), None, 0.0
+        return _duplicated(scen), random_specs(rng, scen.entities), None
     if name == "one_outcome":
         scen = random_scenarios(rng, 3, 1)
-        return scen, random_specs(rng, scen.entities), None, 0.0
+        return scen, random_specs(rng, scen.entities), None
     if name == "one_entity":
         scen = random_scenarios(rng, 1, 7)
-        return scen, random_specs(rng, scen.entities), None, 0.0
+        return scen, random_specs(rng, scen.entities), None
     if name == "huge_theta":
         specs = random_specs(rng, scen.entities)
         specs[scen.entities[1]] = StorageSpec(theta=1e9)
-        return scen, specs, None, 0.0
+        return scen, specs, None
     if name == "several_blocks":
         # more step events than one sweep block holds
         scen = random_scenarios(rng, 40, 30)
-        return scen, random_specs(rng, scen.entities), None, 0.0
+        return scen, random_specs(rng, scen.entities), None
     raise ValueError(name)
 
 
 ENGINE_CASES = [
-    "lossless", "lossy_degrading", "elastic", "elastic_lossy", "duplicate_outcomes",
-    "one_outcome", "one_entity", "huge_theta", "several_blocks",
+    "lossless", "lossy_degrading", "elastic", "elastic_lossy", "elastic_per_entity",
+    "duplicate_outcomes", "one_outcome", "one_entity", "huge_theta", "several_blocks",
 ]
 
 
 def _engine_run(name, seed):
     rng = np.random.default_rng(seed)
-    scen, specs, grid, fraction = _engine_case(name, rng)
+    scen, specs, grid = _engine_case(name, rng)
     if grid is None:
-        result = optimize_price_difference(
-            scen, specs, None, None, HALF_DAY, SUPPLY, elastic_fraction=fraction
-        )
+        result = optimize_price_difference(scen, specs, None, None, HALF_DAY, SUPPLY)
     else:
         result = optimize_prices_extended(
-            scen, specs, None, None, HALF_DAY, SUPPLY, grid[:2], grid[2],
-            elastic_fraction=fraction,
+            scen, specs, None, None, HALF_DAY, SUPPLY, grid[:2], grid[2]
         )
-    return scen, specs, fraction, result
+    return scen, specs, result
 
 
 SUPPLY = SupplyCostParams(alpha=2.0, beta=0.3, gamma=0.1)
@@ -538,12 +525,10 @@ SUPPLY = SupplyCostParams(alpha=2.0, beta=0.3, gamma=0.1)
 @pytest.mark.parametrize("name", ENGINE_CASES)
 def test_scan_trace_equals_reference_curve(name):
     for seed in range(3):
-        scen, specs, fraction, result = _engine_run(name, seed)
+        scen, specs, result = _engine_run(name, seed)
         trace = np.array(result.trace)
         reference = np.concatenate([
-            social_cost_curve(
-                scen, specs, HALF_DAY, SUPPLY, trace[trace[:, 0] == p_o, 1], p_o, fraction
-            )
+            social_cost_curve(scen, specs, HALF_DAY, SUPPLY, trace[trace[:, 0] == p_o, 1], p_o)
             for p_o in dict.fromkeys(trace[:, 0])
         ])
         np.testing.assert_allclose(trace[:, 2], reference, rtol=1e-12, atol=0.0)
@@ -553,14 +538,14 @@ def test_scan_trace_equals_reference_curve(name):
         assert result.scan_cost == trace[best, 2]
 
 
-def _threshold_union(scen, specs, fraction, p_o, eps):
+def _threshold_union(scen, specs, p_o, eps):
     """The candidate price differences as the union of every entity's
     `threshold_set_extended`, on the ordering the reference sizes it on."""
     union = {0.0}
     for j, e in enumerate(scen.entities):
         spec, peak = specs[e], scen.peak[:, j]
         if spec.e_shift is not None:
-            peak = peak - fraction * peak
+            peak = peak - spec.elastic_fraction * peak
             union.add(spec.e_shift)
         dag = peak * (1.0 / (spec.eta_c * spec.eta_d))
         order = np.argsort(dag, kind="stable")
@@ -577,10 +562,10 @@ def _threshold_union(scen, specs, fraction, p_o, eps):
 @pytest.mark.parametrize("name", ENGINE_CASES)
 def test_candidates_equal_per_entity_threshold_union(name):
     for seed in range(3):
-        scen, specs, fraction, result = _engine_run(name, seed)
+        scen, specs, result = _engine_run(name, seed)
         for p_o in dict.fromkeys(p for p, _, _ in result.trace):
             scanned = [pd for p, pd, _ in result.trace if p == p_o]
-            assert scanned == _threshold_union(scen, specs, fraction, p_o, None)
+            assert scanned == _threshold_union(scen, specs, p_o, None)
 
 
 def _exact_grid(events, p_o, rng):
@@ -597,13 +582,13 @@ def _exact_grid(events, p_o, rng):
 def test_event_sweep_equals_reference_curve_on_any_grid(name):
     for seed in range(3):
         rng = np.random.default_rng(seed)
-        scen, specs, grid, fraction = _engine_case(name, rng)
-        events = _StepEvents(scen, specs, fraction)
+        scen, specs, grid = _engine_case(name, rng)
+        events = _StepEvents(scen, specs)
         for p_o in ([0.0] if grid is None else np.linspace(*grid)):
             pds = _exact_grid(events, p_o, rng)
             np.testing.assert_allclose(
                 events.costs(pds, p_o, HALF_DAY, SUPPLY),
-                social_cost_curve(scen, specs, HALF_DAY, SUPPLY, pds, p_o, fraction),
+                social_cost_curve(scen, specs, HALF_DAY, SUPPLY, pds, p_o),
                 rtol=1e-12, atol=0.0,
             )
 
@@ -615,23 +600,24 @@ def test_event_sweep_steps_fired_below_the_shift_cost():
     probs = np.array([0.5, 0.5 + 5e-10])
     peak = np.array([[2.0, 1.0], [3.0, 4.0]])
     scen = ScenarioSet(("a", "b"), probs, peak, np.ones_like(peak))
-    specs = {"a": StorageSpec(1.0, e_shift=1.0 - 1e-12), "b": StorageSpec(0.8)}
-    events = _StepEvents(scen, specs, 0.5)
+    specs = {
+        "a": StorageSpec(1.0, e_shift=1.0 - 1e-12, elastic_fraction=0.5),
+        "b": StorageSpec(0.8, elastic_fraction=0.5),
+    }
+    events = _StepEvents(scen, specs)
     threshold = 1.0 / float(np.cumsum(probs[::-1])[-1])
     pds = np.array([0.5, threshold, (threshold + 1.0 - 1e-12) / 2, 1.0 - 1e-12, 1.0, 3.0])
     assert threshold < pds[2] < 1.0 - 1e-12
     np.testing.assert_allclose(
         events.costs(pds, 0.0, HALF_DAY, SUPPLY),
-        social_cost_curve(scen, specs, HALF_DAY, SUPPLY, pds, 0.0, 0.5),
+        social_cost_curve(scen, specs, HALF_DAY, SUPPLY, pds, 0.0),
         rtol=1e-12, atol=0.0,
     )
 
 
-def _assert_profiles_equal_respond(scen, specs, fraction, price, responses):
+def _assert_profiles_equal_respond(scen, specs, price, responses):
     for j, e in enumerate(scen.entities):
-        one = respond(
-            specs[e], price, scen.probs, scen.peak[:, j], fraction * scen.peak[:, j]
-        )
+        one = respond(specs[e], price, scen.probs, scen.peak[:, j])
         got = responses[e]
         assert got.capacity == one.capacity
         assert np.array_equal(got.charge, one.charge)
@@ -641,15 +627,15 @@ def _assert_profiles_equal_respond(scen, specs, fraction, price, responses):
 @pytest.mark.parametrize("name", ENGINE_CASES)
 def test_batched_realization_equals_respond_bit_for_bit(name):
     for seed in range(3):
-        scen, specs, fraction, result = _engine_run(name, seed)
-        _assert_profiles_equal_respond(scen, specs, fraction, result.best_price, result.responses)
+        scen, specs, result = _engine_run(name, seed)
+        _assert_profiles_equal_respond(scen, specs, result.best_price, result.responses)
         # exactly at thresholds and shift costs, where the tie rule decides
         p_o = result.best_price.p_offpeak
-        cands, _ = _StepEvents(scen, specs, fraction).candidates(p_o)
+        cands, _ = _StepEvents(scen, specs).candidates(p_o)
         for pd in cands[:: max(1, cands.size // 12)]:
             price = TouPrice(p_o + pd, p_o)
-            responses = _respond_all(price, scen, specs, fraction)
-            _assert_profiles_equal_respond(scen, specs, fraction, price, responses)
+            responses = _respond_all(price, scen, specs)
+            _assert_profiles_equal_respond(scen, specs, price, responses)
 
 
 def test_type_tariff_realization_equals_respond_bit_for_bit():
@@ -658,14 +644,14 @@ def test_type_tariff_realization_equals_respond_bit_for_bit():
     grouping = {e: f"t{j % 2}" for j, e in enumerate(users.entities)}
     types = aggregate_by_type(users, grouping)
     type_specs = {
-        "t0": StorageSpec(theta=0.8, eta_c=0.95, eta_d=0.9, tau=0.1, e_shift=0.3),
-        "t1": StorageSpec(theta=1.6),
+        "t0": StorageSpec(
+            theta=0.8, eta_c=0.95, eta_d=0.9, tau=0.1, e_shift=0.3, elastic_fraction=0.2
+        ),
+        "t1": StorageSpec(theta=1.6, elastic_fraction=0.2),
     }
-    result = optimize_price_difference(
-        types, type_specs, users, grouping, HALF_DAY, SUPPLY, elastic_fraction=0.2
-    )
+    result = optimize_price_difference(types, type_specs, users, grouping, HALF_DAY, SUPPLY)
     user_specs = {e: type_specs[grouping[e]] for e in users.entities}
-    _assert_profiles_equal_respond(users, user_specs, 0.2, result.best_price, result.responses)
+    _assert_profiles_equal_respond(users, user_specs, result.best_price, result.responses)
 
 
 def test_full_elastic_fraction_keeps_inelastic_thresholds(quadratic_supply):
@@ -677,13 +663,12 @@ def test_full_elastic_fraction_keeps_inelastic_thresholds(quadratic_supply):
         probs = rng.dirichlet(np.ones(5))
         peak = rng.uniform(0.5, 8.0, (5, 2))
         scen = ScenarioSet(("a", "b"), probs, peak, rng.uniform(0.0, 4.0, (5, 2)))
-        specs = {e: StorageSpec(float(rng.uniform(0.05, 4.0))) for e in ("a", "b")}
-        result = optimize_price_difference(
-            scen, specs, None, None, HALF_DAY, quadratic_supply, elastic_fraction=1.0
-        )
+        specs = {
+            e: StorageSpec(float(rng.uniform(0.05, 4.0)), elastic_fraction=1.0)
+            for e in ("a", "b")
+        }
+        result = optimize_price_difference(scen, specs, None, None, HALF_DAY, quadratic_supply)
         hi = max(pd for _, pd, _ in result.trace) * 1.2 + 1.0
         grid = np.linspace(0.0, hi, 10_000)
-        assert grid_check(
-            result, grid, scen, specs, HALF_DAY, quadratic_supply, elastic_fraction=1.0
-        ) is None
+        assert grid_check(result, grid, scen, specs, HALF_DAY, quadratic_supply) is None
 

@@ -157,21 +157,23 @@ def test_capacity_curve_matches_scalar():
 
 
 def test_respond_elastic_boundary_and_full_shift():
-    spec = StorageSpec(theta=1.0, e_shift=0.4)
+    spec = StorageSpec(theta=1.0, e_shift=0.4, elastic_fraction=0.5)
     peak = np.array([3.0, 5.0])
-    elastic = np.array([2.0, 1.0])
-    q, residual = respond_elastic(spec, peak, elastic, 0.4)
+    elastic = np.array([1.5, 2.5])
+    q, residual = respond_elastic(spec, peak, 0.4)
     np.testing.assert_array_equal(q, [0.0, 0.0])
     np.testing.assert_array_equal(residual, peak)
-    q, residual = respond_elastic(spec, peak, elastic, 0.41)
+    q, residual = respond_elastic(spec, peak, 0.41)
     np.testing.assert_array_equal(q, elastic)
     np.testing.assert_array_equal(residual, peak - elastic)
 
 
-def test_respond_elastic_rejects_excess_elastic():
-    spec = StorageSpec(theta=1.0, e_shift=0.4)
-    with pytest.raises(InputError):
-        respond_elastic(spec, np.array([1.0]), np.array([2.0]), 1.0)
+def test_storage_spec_rejects_elastic_fraction_outside_unit_interval():
+    for fraction in (-0.1, 1.5, float("nan")):
+        with pytest.raises(InputError, match="elastic_fraction"):
+            StorageSpec(theta=1.0, e_shift=0.4, elastic_fraction=fraction)
+    for fraction in (0.0, 1.0):
+        StorageSpec(theta=1.0, e_shift=0.4, elastic_fraction=fraction)
 
 
 def test_elastic_spec_requires_cheaper_shift():
@@ -326,12 +328,14 @@ def test_elastic_shift_activates_before_any_investment():
     rng = np.random.default_rng(55)
     for _ in range(20):
         theta = float(rng.uniform(0.5, 3.0))
-        spec = StorageSpec(theta=theta, e_shift=float(rng.uniform(0.0, 0.9) * theta))
+        spec = StorageSpec(
+            theta=theta, e_shift=float(rng.uniform(0.0, 0.9) * theta), elastic_fraction=0.3
+        )
         peak = rng.uniform(1.0, 5.0, 3)
         probs = np.full(3, 1 / 3)
         elastic = 0.3 * peak
         mid = 0.5 * (spec.e_shift + theta)
-        r = respond(spec, TouPrice(mid, 0.0), probs, peak, elastic)
+        r = respond(spec, TouPrice(mid, 0.0), probs, peak)
         assert np.all(r.shifted == elastic)
         assert r.capacity == 0.0
 
@@ -341,7 +345,7 @@ def test_respond_zero_elastic_fraction_identical_to_plain():
     peak = rng.uniform(0, 5, 4)
     probs = np.full(4, 0.25)
     spec = StorageSpec(theta=0.8, e_shift=0.3)
-    with_zero = respond(spec, TouPrice(2.0, 0.0), probs, peak, np.zeros(4))
+    with_zero = respond(spec, TouPrice(2.0, 0.0), probs, peak)
     plain = respond(StorageSpec(theta=0.8), TouPrice(2.0, 0.0), probs, peak)
     assert with_zero.capacity == plain.capacity
     np.testing.assert_array_equal(with_zero.charge, plain.charge)
