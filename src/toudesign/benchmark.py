@@ -375,18 +375,13 @@ def compute_ratios(
     )
 
 
-def _support_atol(scenarios: ScenarioSet) -> float:
-    return 1e-7 * max(1.0, float(scenarios.peak.max()))
-
-
 def _validate_structure(
     capacities: Mapping[str, float],
     thetas: Mapping[str, float],
     scenarios: ScenarioSet,
-    atol: float | None,
     boundary_class: bool,
 ) -> StructureReport:
-    atol = _support_atol(scenarios) if atol is None else atol
+    atol = 1e-7 * max(1.0, float(scenarios.peak.max()))
     violations = []
     invested = {}
     exempt = set()
@@ -430,7 +425,6 @@ def validate_structure_so(
     plan: SocialPlan,
     thetas: Mapping[str, float],
     scenarios: ScenarioSet,
-    atol: float | None = None,
 ) -> StructureReport:
     """Check a planner solution against the three-class investment structure.
 
@@ -440,14 +434,13 @@ def validate_structure_so(
     lower peak support is zero are exempt from the prefix requirement since
     extra capacity can be worthless to them regardless of cost.
     """
-    return _validate_structure(plan.capacities, thetas, scenarios, atol, True)
+    return _validate_structure(plan.capacities, thetas, scenarios, True)
 
 
 def validate_structure_pricing(
     responses: Mapping[str, ResponseProfile],
     thetas: Mapping[str, float],
     scenarios: ScenarioSet,
-    atol: float | None = None,
 ) -> StructureReport:
     """Check tariff-induced investments for the two-class structure.
 
@@ -456,4 +449,4 @@ def validate_structure_pricing(
     support (users with zero lower support exempt from the lower bound).
     """
     capacities = {e: r.capacity for e, r in responses.items()}
-    return _validate_structure(capacities, thetas, scenarios, atol, False)
+    return _validate_structure(capacities, thetas, scenarios, False)

@@ -43,7 +43,6 @@ from .oracles import grid_check, verify_suite
 from .pricing import (
     PricingResult,
     evaluate_lambda,
-    optimize_price_difference,
     optimize_prices_extended,
     user_specs_from_grouping,
 )
@@ -128,19 +127,20 @@ def _write_responses(path: Path, result: PricingResult) -> None:
 
 
 def _is_extended(cfg: ExperimentConfig) -> bool:
-    if cfg.pricing.mode != "auto":
-        return cfg.pricing.mode == "extended"
+    """Lossy or degrading storage, whose responses move with the off-peak price."""
     st = cfg.storage
     return st.eta_c != 1.0 or st.eta_d != 1.0 or st.tau != 0.0
 
 
 def _p_o_grid(cfg: ExperimentConfig) -> tuple[tuple[float, float], int]:
-    if cfg.pricing.p_o_range is None:
+    pricing = cfg.pricing
+    if not _is_extended(cfg):
+        return (pricing.p_offpeak, pricing.p_offpeak), 1
+    if pricing.p_o_range is None:
         raise InputError(
             "pricing.p_o_range is required for the extended (efficiency/degradation) search"
         )
-    lo, hi = cfg.pricing.p_o_range
-    return (float(lo), float(hi)), int(cfg.pricing.p_o_steps)
+    return pricing.p_o_range, pricing.p_o_steps
 
 
 def _optimize_one(
@@ -161,14 +161,7 @@ def _optimize_one(
     else:
         user_specs = user_specs_from_grouping(type_specs, user_scenarios, grouping)
         args = (user_scenarios, user_specs, None, None, periods, supply)
-    if _is_extended(cfg):
-        p_o_range, steps = _p_o_grid(cfg)
-        result = optimize_prices_extended(*args, p_o_range, steps, cfg.pricing.epsilon)
-    else:
-        result = optimize_price_difference(
-            *args, cfg.pricing.epsilon, p_offpeak=cfg.pricing.p_offpeak
-        )
-    return result, (args[0], args[1], periods, supply)
+    return optimize_prices_extended(*args, *_p_o_grid(cfg)), (args[0], args[1], periods, supply)
 
 
 def cmd_ingest(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path]) -> int:

@@ -7,8 +7,9 @@ float, a bool for neither) and kept as loaded. The supply, annuity and
 solver sections are the library's own parameter classes, range-checked at
 load for every command, as are the data, synthetic and pricing counts and
 bounds and the storage specs, which are built once at load so that
-`StorageSpec` checks the efficiencies, degradation cost and elastic demand
-of every type. Storage costs for K types spread around a mean cost
+`StorageSpec` checks the efficiencies, degradation cost and elastic share
+of every type; an elastic_cost in use must be >= 0 and below the cheapest
+type's storage cost. Storage costs for K types spread around a mean cost
 theta_bar by the diversity coefficient delta_s; with four types the levels
 are theta_bar * (1 -+ 1.5 delta_s, 1 -+ 0.5 delta_s). delta_s must be >= 0
 and every level > 0, so with K > 1 types delta_s < 2 / (K - 1).
@@ -140,13 +141,19 @@ class StorageCfg:
 class PricingCfg:
     p_offpeak: float = 0.0
     epsilon: float | None = None
-    mode: str = "auto"  # auto | plain | extended
+    mode: str = "auto"
     p_o_range: tuple[float, float] | None = None
     p_o_steps: int = 1
 
     def __post_init__(self):
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise InputError("epsilon must be > 0")
+        if self.mode != "auto":
+            raise InputError("mode must be auto: the off-peak grid follows the storage model")
+        if self.epsilon is not None:
+            raise InputError("epsilon must be null: the candidate offset is automatic")
+        if not 0 <= self.p_offpeak < np.inf:
+            raise InputError("p_offpeak must be finite and >= 0")
+        if self.p_o_range is not None and not 0 <= self.p_o_range[0] <= self.p_o_range[1] < np.inf:
+            raise InputError("p_o_range must satisfy 0 <= lo <= hi < inf")
         if self.p_o_steps < 1:
             raise InputError("p_o_steps must be >= 1")
 
@@ -187,17 +194,22 @@ class ExperimentConfig:
             raise InputError("data.units must be 'mwh' or 'kwh'")
         if self.storage.delta_s < 0:
             raise InputError("storage.delta_s must be >= 0")
-        if self.pricing.mode not in ("auto", "plain", "extended"):
-            raise InputError("pricing.mode must be auto, plain or extended")
         if self.grouping.mode not in ("fixed", "random"):
             raise InputError("grouping.mode must be fixed or random")
         if not self.grouping.seeds:
             raise InputError("grouping.seeds must be non-empty")
         if self.theta_bar_value() <= 0:
             raise InputError("mean storage cost must be > 0")
-        stray = [t for t in self.type_thetas() if t <= 0]
+        thetas = self.type_thetas()
+        stray = [t for t in thetas if t <= 0]
         if stray:
             raise InputError(f"storage-cost spread produces non-positive costs {stray}")
+        cost, cheapest = self.storage.elastic_cost, min(thetas)
+        if cost is not None and self.storage.elastic_fraction != 0.0 and not 0 <= cost < cheapest:
+            raise InputError(
+                "storage: elastic_cost must be >= 0 and below the cheapest type's storage "
+                f"cost {cheapest!r}, got {cost!r}"
+            )
         try:
             self.build_specs()
         except InputError as exc:

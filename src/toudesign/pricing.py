@@ -102,18 +102,16 @@ def _merge_close(candidates: np.ndarray) -> np.ndarray:
     return candidates[keep]
 
 
-def _scan(events: _StepEvents, periods, supply, p_o: float, eps: float | None):
+def _scan(events: _StepEvents, periods, supply, p_o: float):
     candidates, n_thresholds = events.candidates(p_o)
     candidates = _merge_close(candidates)
-    eps_used = _auto_epsilon(candidates) if eps is None else float(eps)
-    if eps_used <= 0:
-        raise InputError("epsilon must be > 0")
-    p_deltas = candidates + eps_used
+    eps = _auto_epsilon(candidates)
+    p_deltas = candidates + eps
     totals = events.costs(p_deltas, p_o, periods, supply)
     trace = [(p_o, pd, t) for pd, t in zip(p_deltas.tolist(), totals.tolist())]
     # argmin keeps the first minimum: ties go to the smaller price difference
     best = int(np.argmin(totals))
-    return trace[best][1], trace[best][2], trace, len(candidates), n_thresholds, eps_used
+    return trace[best][1], trace[best][2], trace, len(candidates), n_thresholds, eps
 
 
 def user_specs_from_grouping(
@@ -141,7 +139,6 @@ def _search(
     periods: PeriodStructure,
     supply: SupplyCostParams,
     p_o_grid,
-    eps: float | None,
 ) -> PricingResult:
     """Threshold scan at every off-peak price of the grid; the first cheapest
     (off-peak price, price difference) pair wins and is re-evaluated per user."""
@@ -151,11 +148,11 @@ def _search(
     best = None
     trace: list[tuple[float, float, float]] = []
     for p_o in p_o_grid:
-        p_delta, cost, scan_trace, *counts = _scan(events, periods, supply, p_o, eps)
+        p_delta, cost, scan_trace, *counts = _scan(events, periods, supply, p_o)
         trace.extend(scan_trace)
         if best is None or cost < best[2]:
             best = (p_o, p_delta, cost, *counts)
-    p_o, p_delta, scan_cost, n_candidates, n_thresholds, eps_used = best
+    p_o, p_delta, scan_cost, n_candidates, n_thresholds, eps = best
     price = TouPrice(p_o + p_delta, p_o)
     if user_scenarios is None:
         scheme, user_scenarios, user_specs = "pi", pricing_scenarios, pricing_specs
@@ -176,7 +173,7 @@ def _search(
         n_candidates=n_candidates,
         n_thresholds=n_thresholds,
         n_evaluations=len(trace),
-        epsilon=eps_used,
+        epsilon=eps,
     )
 
 
@@ -187,7 +184,6 @@ def optimize_price_difference(
     grouping: Mapping[str, str] | None,
     periods: PeriodStructure,
     supply: SupplyCostParams,
-    eps: float | None = None,
     *,
     p_offpeak: float = 0.0,
 ) -> PricingResult:
@@ -202,8 +198,7 @@ def optimize_price_difference(
     difference.
     """
     return _search(
-        pricing_scenarios, pricing_specs, user_scenarios, grouping, periods, supply,
-        [p_offpeak], eps,
+        pricing_scenarios, pricing_specs, user_scenarios, grouping, periods, supply, [p_offpeak]
     )
 
 
@@ -216,23 +211,22 @@ def optimize_prices_extended(
     supply: SupplyCostParams,
     p_o_range: tuple[float, float],
     p_o_steps: int,
-    eps: float | None = None,
 ) -> PricingResult:
     """Grid search over the off-peak price with a threshold scan per grid point.
 
     With imperfect efficiency the off-peak price enters each entity's
-    investment decision, so the tariff search is two dimensional. Ties
-    resolve to the lowest (off-peak price, price difference) pair.
+    investment decision, so the tariff search is two dimensional; with
+    lossless specs a one-point grid is the fixed off-peak scan. Ties resolve
+    to the lowest (off-peak price, price difference) pair.
     """
     lo, hi = float(p_o_range[0]), float(p_o_range[1])
-    if lo < 0 or hi < lo:
-        raise InputError("off-peak price range must satisfy 0 <= lo <= hi")
+    if not 0 <= lo <= hi < np.inf:
+        raise InputError("off-peak price range must satisfy 0 <= lo <= hi < inf")
     if p_o_steps < 1:
         raise InputError("p_o_steps must be >= 1")
     grid = [float(p_o) for p_o in np.linspace(lo, hi, int(p_o_steps))]
     return _search(
-        pricing_scenarios, pricing_specs, user_scenarios, grouping, periods, supply,
-        grid, eps,
+        pricing_scenarios, pricing_specs, user_scenarios, grouping, periods, supply, grid
     )
 
 

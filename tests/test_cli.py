@@ -8,6 +8,7 @@ import yaml
 
 from toudesign import PeriodStructure, ScenarioSet
 from toudesign.cli import main
+from toudesign.errors import InputError
 
 from conftest import hourly_loop_oracle, make_sample_loads
 
@@ -407,21 +408,78 @@ def test_out_of_range_data_or_storage_value_fails_every_command(
         ("storage", "eta_d", 0),
         ("storage", "tau", -1),
         ("storage", "elastic_fraction", 1.5),
+        ("storage", "elastic_cost", 20.0),
+        ("storage", "elastic_cost", -1.0),
         ("synthetic", "n_outcomes", 0),
         ("synthetic", "users_per_type", 0),
         ("synthetic", "peak_range_mwh", -1),
         ("pricing", "p_o_steps", 0),
         ("pricing", "epsilon", -1),
+        ("pricing", "epsilon", 1e-6),
+        ("pricing", "mode", "plain"),
+        ("pricing", "p_offpeak", -1.0),
+        ("pricing", "p_offpeak", float("inf")),
+        ("pricing", "p_o_range", [2.0, 1.0]),
+        ("pricing", "p_o_range", [0.0, float("inf")]),
     ],
 )
 def test_out_of_range_value_fails_commands_that_do_not_use_it(
     tmp_path, capsys, command, section, key, value
 ):
-    cfg = write_config(tmp_path, {section: {key: value}})
+    fields = {key: value}
+    if key == "elastic_cost":
+        fields["elastic_fraction"] = 0.1  # an elastic cost is used only with elastic demand
+    cfg = write_config(tmp_path, {section: fields})
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"invalid input: {section}: ") and key in err, err
+    assert not (out / "run_meta.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("mode", "extended"), ("epsilon", 1e-6), ("p_offpeak", -1.0), ("p_o_range", [2.0, 1.0])],
+)
+def test_pricing_value_fails_optimize_before_the_scan(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, {"pricing": {key: value}})
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: pricing: {key} must "), err
+    assert not (out / "run_meta.json").exists()
+
+
+def test_elastic_cost_bound_names_the_cheapest_storage_cost():
+    from toudesign import ExperimentConfig
+
+    with pytest.raises(InputError) as info:
+        ExperimentConfig.from_dict({"storage": {"elastic_cost": 20.0, "elastic_fraction": 0.1}})
+    assert str(info.value) == (
+        "storage: elastic_cost must be >= 0 and below the cheapest type's storage cost 5.0, "
+        "got 20.0"
+    )
+
+
+def test_capital_cost_is_annuitized_into_the_type_costs(tmp_path):
+    from toudesign import ExperimentConfig, daily_cost_factor
+
+    storage = {"theta_bar": None, "capital_cost_per_mwh": 30000.0}
+    cfg_path = write_config(tmp_path, {"storage": storage})
+    out = tmp_path / "out"
+    assert main(["benchmark", "--config", str(cfg_path), "--out", str(out)]) == 0
+    cfg = ExperimentConfig.from_yaml(cfg_path)
+    mean_cost = daily_cost_factor(cfg.annuity) * 30000.0
+    expected = [mean_cost * (1.0 - 0.15), mean_cost * (1.0 + 0.15)]  # delta_s 0.3, two types
+    assert [spec.theta for spec in cfg.build_specs().values()] == pytest.approx(expected)
+
+
+def test_storage_cost_needs_theta_bar_or_capital_cost(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"storage": {"theta_bar": None}})
+    out = tmp_path / "out"
+    assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "either theta_bar or capital_cost_per_mwh is required" in err, err
     assert not (out / "run_meta.json").exists()
 
 
@@ -544,6 +602,17 @@ def test_shipped_example_config_parses():
     assert len(cfg.type_thetas()) == 4
     snapshot = json.dumps(cfg.snapshot(), sort_keys=True)
     assert "theta_bar" in snapshot
+
+    def keys(tree, prefix=""):
+        out = set()
+        for key, value in tree.items():
+            out.add(prefix + key)
+            if isinstance(value, dict):
+                out |= keys(value, f"{prefix}{key}.")
+        return out
+
+    # every config key is documented in the shipped example
+    assert keys(yaml.safe_load(path.read_text())) == keys(ExperimentConfig().snapshot())
 
 
 def test_structure_violation_exit_code(tmp_path, monkeypatch):

@@ -336,6 +336,10 @@ def test_extended_validates_range():
         optimize_prices_extended(
             scen, specs, None, None, HALF_DAY, SupplyCostParams(1.0), (0.0, 1.0), 0
         )
+    with pytest.raises(InputError):
+        optimize_prices_extended(
+            scen, specs, None, None, HALF_DAY, SupplyCostParams(1.0), (0.0, np.inf), 2
+        )
 
 
 def test_elastic_candidates_include_shift_cost(quadratic_supply):
@@ -410,20 +414,6 @@ def test_scan_vs_grid_with_losses_and_degradation():
         grid = np.linspace(0.0, hi, 8000)
         assert result.best_price.p_offpeak == p_o
         assert grid_check(result, grid, scen, specs, EVENING_PEAK, supply) is None
-
-
-def test_explicit_epsilon_is_validated(quadratic_supply):
-    rng = np.random.default_rng(117)
-    scen = random_scenarios(rng, 2, 3)
-    specs = random_specs(rng, scen.entities)
-    with pytest.raises(InputError):
-        optimize_price_difference(
-            scen, specs, None, None, HALF_DAY, quadratic_supply, 0.0
-        )
-    result = optimize_price_difference(
-        scen, specs, None, None, HALF_DAY, quadratic_supply, 1e-8
-    )
-    assert result.epsilon == 1e-8
 
 
 def test_result_social_cost_matches_reevaluation(quadratic_supply):
