@@ -20,7 +20,7 @@ schemes and investment-structure validators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -77,13 +77,24 @@ class SocialPlan:
 
 @dataclass(frozen=True)
 class RatioReport:
+    """Social costs of each scheme; each kappa is a cost over the planner's."""
+
     sc_pt: float
     sc_pi: float
     sc_so: float
     sc_no: float
-    kappa_pt: float
-    kappa_pi: float
-    kappa_no: float
+
+    @property
+    def kappa_pt(self) -> float:
+        return self.sc_pt / self.sc_so
+
+    @property
+    def kappa_pi(self) -> float:
+        return self.sc_pi / self.sc_so
+
+    @property
+    def kappa_no(self) -> float:
+        return self.sc_no / self.sc_so
 
     def to_json_dict(self) -> dict:
         return {k: getattr(self, k) for k in (
@@ -93,8 +104,13 @@ class RatioReport:
 
 @dataclass
 class StructureReport:
-    ok: bool
-    violations: list[str] = field(default_factory=list)
+    """Violated structure rules; the structure holds when there are none."""
+
+    violations: list[str]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def _lossless_specs(thetas: Mapping[str, float]) -> dict[str, StorageSpec]:
@@ -354,25 +370,18 @@ def compute_ratios(
     """Cost ratios of each scheme against the planner optimum.
 
     The type-based cost must dominate the individual-based cost, which must
-    dominate the planner cost; a violation beyond tolerance is raised as a
-    bug rather than reported.
+    dominate the planner cost; a non-finite cost or a violation beyond
+    tolerance is raised as a bug rather than reported.
     """
+    costs = f"pt={sc_pt!r} pi={sc_pi!r} so={sc_so!r} no={sc_no!r}"
+    if not all(map(math.isfinite, (sc_pt, sc_pi, sc_so, sc_no))):
+        raise OrderingViolationError(f"non-finite cost: {costs}")
     if not sc_so > 0:
         raise InputError("planner cost must be > 0")
     tol = ORDERING_TOL * max(1.0, abs(sc_so))
     if sc_pt < sc_pi - tol or sc_pi < sc_so - tol or sc_no < sc_so - tol:
-        raise OrderingViolationError(
-            f"cost ordering violated: pt={sc_pt!r} pi={sc_pi!r} so={sc_so!r} no={sc_no!r}"
-        )
-    return RatioReport(
-        sc_pt=sc_pt,
-        sc_pi=sc_pi,
-        sc_so=sc_so,
-        sc_no=sc_no,
-        kappa_pt=sc_pt / sc_so,
-        kappa_pi=sc_pi / sc_so,
-        kappa_no=sc_no / sc_so,
-    )
+        raise OrderingViolationError(f"cost ordering violated: {costs}")
+    return RatioReport(sc_pt=sc_pt, sc_pi=sc_pi, sc_so=sc_so, sc_no=sc_no)
 
 
 def _validate_structure(
@@ -418,7 +427,7 @@ def _validate_structure(
                     else f"invested cost level {thetas[e]} but capacity"
                 )
                 violations.append(f"user {e}: {what} {c} below min peak support {lo}")
-    return StructureReport(ok=not violations, violations=violations)
+    return StructureReport(violations)
 
 
 def validate_structure_so(

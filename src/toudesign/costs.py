@@ -20,8 +20,6 @@ from .errors import InfeasibleResponseError, InputError
 if TYPE_CHECKING:  # pragma: no cover
     from .response import ResponseProfile, StorageSpec
 
-BREAKDOWN_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class AnnuityParams:
@@ -47,6 +45,8 @@ class SupplyCostParams:
     gamma: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.gamma))):
+            raise InputError("alpha, beta and gamma must be finite")
         if self.alpha <= 0:
             raise InputError("alpha must be > 0")
         if self.beta < 0 or self.gamma < 0:
@@ -55,7 +55,7 @@ class SupplyCostParams:
 
 @dataclass(frozen=True)
 class SocialCostBreakdown:
-    """Daily social cost split into its components.
+    """Daily social cost split into its components; total is their sum.
 
     shift_cost is the inconvenience cost of moved elastic demand; it is zero
     in the plain inelastic model.
@@ -65,34 +65,14 @@ class SocialCostBreakdown:
     degradation_cost: float
     shift_cost: float
     expected_supply_cost: float
-    total: float
 
-    def __post_init__(self):
-        parts = (
+    @property
+    def total(self) -> float:
+        return (
             self.investment_cost
             + self.degradation_cost
             + self.shift_cost
             + self.expected_supply_cost
-        )
-        if abs(parts - self.total) > BREAKDOWN_TOL * max(1.0, abs(parts)):
-            raise InputError(
-                f"breakdown total {self.total} does not match sum of parts {parts}"
-            )
-
-    @classmethod
-    def from_parts(
-        cls,
-        investment: float,
-        degradation: float = 0.0,
-        shift: float = 0.0,
-        supply: float = 0.0,
-    ) -> "SocialCostBreakdown":
-        return cls(
-            investment_cost=investment,
-            degradation_cost=degradation,
-            shift_cost=shift,
-            expected_supply_cost=supply,
-            total=investment + degradation + shift + supply,
         )
 
     def to_json_dict(self) -> dict:
@@ -228,9 +208,7 @@ def social_cost(
     investment = float(thetas @ caps)
     degradation = float(scenarios.probs @ (charge @ (taus * (1.0 + losses))))
     shift_cost = float(scenarios.probs @ (shifted @ shift_prices))
-    return SocialCostBreakdown.from_parts(
-        investment, degradation, shift_cost, expected_supply
-    )
+    return SocialCostBreakdown(investment, degradation, shift_cost, expected_supply)
 
 
 def no_storage_cost(
@@ -240,9 +218,7 @@ def no_storage_cost(
     per_outcome = two_period_supply_cost(
         scenarios.aggregate_peak(), scenarios.aggregate_offpeak(), periods, supply
     )
-    return SocialCostBreakdown.from_parts(
-        0.0, 0.0, 0.0, float(scenarios.probs @ per_outcome)
-    )
+    return SocialCostBreakdown(0.0, 0.0, 0.0, float(scenarios.probs @ per_outcome))
 
 
 def approximation_gap(

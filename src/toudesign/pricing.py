@@ -45,8 +45,8 @@ class TouPrice:
     p_offpeak: float = 0.0
 
     def __post_init__(self):
-        if not self.p_peak >= self.p_offpeak >= 0:
-            raise InputError("prices must satisfy p_peak >= p_offpeak >= 0")
+        if not np.inf > self.p_peak >= self.p_offpeak >= 0:
+            raise InputError("prices must be finite and satisfy p_peak >= p_offpeak >= 0")
 
     @property
     def p_delta(self) -> float:
@@ -59,10 +59,10 @@ class PricingResult:
 
     responses holds each individual user's profile at the chosen tariff and
     social_cost is their re-evaluated cost; trace records every evaluated
-    candidate as (p_offpeak, p_delta, total cost) in evaluation order. At the
-    chosen off-peak price, n_thresholds counts the threshold values collected
-    before duplicates and near-duplicates are merged, n_candidates the price
-    differences left after.
+    candidate as (p_offpeak, p_delta, total cost) in evaluation order and
+    n_evaluations counts them. At the chosen off-peak price, n_thresholds
+    counts the threshold values collected before duplicates and near-duplicates
+    are merged, n_candidates the price differences left after.
     """
 
     best_price: TouPrice
@@ -73,8 +73,11 @@ class PricingResult:
     scan_cost: float
     n_candidates: int
     n_thresholds: int
-    n_evaluations: int
     epsilon: float
+
+    @property
+    def n_evaluations(self) -> int:
+        return len(self.trace)
 
 
 def _auto_epsilon(candidates: np.ndarray) -> float:
@@ -138,27 +141,35 @@ def _search(
     grouping: Mapping[str, str] | None,
     periods: PeriodStructure,
     supply: SupplyCostParams,
-    p_o_grid,
+    p_o_range: tuple[float, float],
+    p_o_steps: int,
 ) -> PricingResult:
-    """Threshold scan at every off-peak price of the grid; the first cheapest
-    (off-peak price, price difference) pair wins and is re-evaluated per user."""
-    if user_scenarios is not None and grouping is None:
+    """Threshold scan at every off-peak price of the grid, checked with the
+    grouping before any scan; the first cheapest (off-peak price, price
+    difference) pair wins and is re-evaluated per user. Both public entry
+    points call this directly, so a tracer wrapping both sees a search once."""
+    lo, hi = float(p_o_range[0]), float(p_o_range[1])
+    if not 0 <= lo <= hi < np.inf:
+        raise InputError("off-peak price range must satisfy 0 <= lo <= hi < inf")
+    if p_o_steps < 1:
+        raise InputError("p_o_steps must be >= 1")
+    if user_scenarios is None:
+        scheme, user_scenarios, user_specs = "pi", pricing_scenarios, pricing_specs
+    elif grouping is None:
         raise InputError("a grouping is required with user scenarios")
+    else:
+        scheme = "pt"
+        user_specs = user_specs_from_grouping(pricing_specs, user_scenarios, grouping)
     events = _StepEvents(pricing_scenarios, pricing_specs)
     best = None
     trace: list[tuple[float, float, float]] = []
-    for p_o in p_o_grid:
+    for p_o in np.linspace(lo, hi, int(p_o_steps)).tolist():
         p_delta, cost, scan_trace, *counts = _scan(events, periods, supply, p_o)
         trace.extend(scan_trace)
         if best is None or cost < best[2]:
             best = (p_o, p_delta, cost, *counts)
     p_o, p_delta, scan_cost, n_candidates, n_thresholds, eps = best
     price = TouPrice(p_o + p_delta, p_o)
-    if user_scenarios is None:
-        scheme, user_scenarios, user_specs = "pi", pricing_scenarios, pricing_specs
-    else:
-        scheme = "pt"
-        user_specs = user_specs_from_grouping(pricing_specs, user_scenarios, grouping)
     responses = _respond_all(price, user_scenarios, user_specs)
     sc = social_cost(
         user_scenarios, user_specs, responses, periods, supply, check_feasibility=False
@@ -172,7 +183,6 @@ def _search(
         scan_cost=scan_cost,
         n_candidates=n_candidates,
         n_thresholds=n_thresholds,
-        n_evaluations=len(trace),
         epsilon=eps,
     )
 
@@ -198,7 +208,8 @@ def optimize_price_difference(
     difference.
     """
     return _search(
-        pricing_scenarios, pricing_specs, user_scenarios, grouping, periods, supply, [p_offpeak]
+        pricing_scenarios, pricing_specs, user_scenarios, grouping, periods, supply,
+        (p_offpeak, p_offpeak), 1,
     )
 
 
@@ -219,14 +230,9 @@ def optimize_prices_extended(
     lossless specs a one-point grid is the fixed off-peak scan. Ties resolve
     to the lowest (off-peak price, price difference) pair.
     """
-    lo, hi = float(p_o_range[0]), float(p_o_range[1])
-    if not 0 <= lo <= hi < np.inf:
-        raise InputError("off-peak price range must satisfy 0 <= lo <= hi < inf")
-    if p_o_steps < 1:
-        raise InputError("p_o_steps must be >= 1")
-    grid = [float(p_o) for p_o in np.linspace(lo, hi, int(p_o_steps))]
     return _search(
-        pricing_scenarios, pricing_specs, user_scenarios, grouping, periods, supply, grid
+        pricing_scenarios, pricing_specs, user_scenarios, grouping, periods, supply,
+        p_o_range, p_o_steps,
     )
 
 
@@ -318,6 +324,8 @@ def evaluate_lambda(
     tbs = np.asarray(theta_bar_grid, dtype=float)
     if pds.size == 0 or tbs.size == 0:
         raise InputError("grids must be non-empty")
+    if not np.isfinite(pds).all():
+        raise InputError("price differences must be finite")
     if np.any(tbs <= 0):
         raise InputError("mean storage costs must be > 0")
     base_mean = float(np.mean([specs[e].theta for e in scenarios.entities]))

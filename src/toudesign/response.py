@@ -42,13 +42,13 @@ class StorageSpec:
     elastic_fraction: float = 0.0
 
     def __post_init__(self):
-        if not self.theta > 0:
-            raise InputError("theta must be > 0")
+        if not 0 < self.theta < np.inf:
+            raise InputError("theta must be finite and > 0")
         for name, eta in (("eta_c", self.eta_c), ("eta_d", self.eta_d)):
             if not 0 < eta <= 1:
                 raise InputError(f"{name} must be in (0, 1]")
-        if self.tau < 0:
-            raise InputError("tau must be >= 0")
+        if not 0 <= self.tau < np.inf:
+            raise InputError("tau must be finite and >= 0")
         if self.e_shift is not None:
             if self.e_shift < 0:
                 raise InputError("e_shift must be >= 0")

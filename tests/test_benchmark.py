@@ -172,6 +172,12 @@ def test_compute_ratios_rejects_ordering_violation():
         compute_ratios(4.0, 5.0, 5.0, 5.0)
     with pytest.raises(OrderingViolationError):
         compute_ratios(5.0, 4.0, 5.0, 5.0)
+    for position in range(4):
+        for bad in (np.nan, np.inf):
+            costs = [5.0, 5.0, 5.0, 5.0]
+            costs[position] = bad
+            with pytest.raises(OrderingViolationError, match="non-finite cost"):
+                compute_ratios(*costs)
 
 
 def test_compute_ratios_requires_positive_so():

@@ -325,6 +325,35 @@ def test_verify_reports_a_failing_oracle(tmp_path, monkeypatch):
     assert json.loads((out / "run_meta.json").read_text())["exit_status"] == 3
 
 
+def test_verify_fails_an_extended_search_that_breaks_ties_upward(tmp_path, monkeypatch):
+    import toudesign.oracles as oracles
+
+    search = oracles.optimize_prices_extended
+
+    def last_cheapest(*args):
+        *instance, (lo, hi), steps = args
+        runs = [search(*instance, (p_o, p_o), 1) for p_o in np.linspace(lo, hi, steps)]
+        cheapest = min(r.scan_cost for r in runs)
+        last = [r for r in runs if r.scan_cost == cheapest][-1]
+        return replace(last, trace=[row for r in runs for row in r.trace])
+
+    monkeypatch.setattr(oracles, "optimize_prices_extended", last_cheapest)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
+    report = json.loads((out / "verify_report.json").read_text())
+    assert [name for name, entry in report.items() if not entry["ok"]] == ["extended-reduction"]
+
+
+def test_lambda_sweep_rejects_a_non_finite_price_difference(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, {"sweeps": {"p_delta": [float("nan"), 2.0], "theta_bar": [10.0]}}
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--axis", "lambda"]) == 2
+    assert "price differences must be finite" in capsys.readouterr().err
+
+
 def test_missing_config_is_invalid_input(tmp_path):
     assert main(["optimize", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)]) == 2
 
@@ -363,7 +392,12 @@ def test_malformed_config_value_is_invalid_input(tmp_path, capsys, override, key
     "section, key, value",
     [
         ("supply", "alpha", 0),
+        ("supply", "alpha", float("nan")),
         ("supply", "beta", -1),
+        ("supply", "beta", float("nan")),
+        ("supply", "gamma", float("inf")),
+        ("storage", "tau", float("nan")),
+        ("storage", "theta_bar", float("inf")),
         ("annuity", "years", 0),
         ("solver", "tolerance", 0),
         ("solver", "max_iterations", 0),
@@ -624,7 +658,7 @@ def test_structure_violation_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(
         cli_mod,
         "validate_structure_so",
-        lambda *a, **k: StructureReport(ok=False, violations=["synthetic failure"]),
+        lambda *a, **k: StructureReport(violations=["synthetic failure"]),
     )
     assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 3
 

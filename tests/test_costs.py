@@ -310,13 +310,8 @@ def test_social_cost_includes_shift_cost():
     assert sc.expected_supply_cost == pytest.approx(16.0 / 12 + 4.0 / 12)
 
 
-def test_breakdown_total_must_match_parts():
-    with pytest.raises(InputError):
-        SocialCostBreakdown(1.0, 0.0, 0.0, 1.0, 3.0)
-
-
 def test_breakdown_json_fields():
-    sc = SocialCostBreakdown.from_parts(1.0, 0.5, 0.25, 2.0)
+    sc = SocialCostBreakdown(1.0, 0.5, 0.25, 2.0)
     payload = json.loads(json.dumps(sc.to_json_dict()))
     assert set(payload) == {
         "investment_cost",

@@ -12,6 +12,7 @@ from toudesign import (
     TouPrice,
     aggregate_by_type,
     evaluate_lambda,
+    generate_synthetic,
     optimize_price_difference,
     optimize_prices_extended,
     respond,
@@ -34,7 +35,24 @@ def test_tou_price_validation():
         TouPrice(1.0, 2.0)
     with pytest.raises(InputError):
         TouPrice(-1.0, -2.0)
+    for p_peak, p_offpeak in ((np.inf, 0.0), (np.inf, np.inf), (np.nan, 0.0), (1.0, np.nan)):
+        with pytest.raises(InputError):
+            TouPrice(p_peak, p_offpeak)
     assert TouPrice(3.0, 1.0).p_delta == 2.0
+
+
+@pytest.mark.parametrize("p_offpeak", [-1.0, np.inf, np.nan])
+def test_off_peak_price_is_checked_before_the_scan(monkeypatch, quadratic_supply, p_offpeak):
+    def no_scan(*args):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr("toudesign.pricing._StepEvents", no_scan)
+    scen = generate_synthetic(2, 2, 4, 5.0, 0)
+    specs = {e: StorageSpec(theta=1.0) for e in scen.entities}
+    with pytest.raises(InputError):
+        optimize_price_difference(
+            scen, specs, None, None, HALF_DAY, quadratic_supply, p_offpeak=p_offpeak
+        )
 
 
 def test_scan_never_beaten_by_dense_grid(quadratic_supply):
@@ -380,6 +398,15 @@ def test_lambda_rejects_empty_grids():
     specs = random_specs(rng, scen.entities)
     with pytest.raises(InputError):
         evaluate_lambda([], [1.0], scen, specs, HALF_DAY, SupplyCostParams(1.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lambda_rejects_a_non_finite_price_difference(bad):
+    rng = np.random.default_rng(115)
+    scen = random_scenarios(rng, 1, 2)
+    specs = random_specs(rng, scen.entities)
+    with pytest.raises(InputError, match="price differences must be finite"):
+        evaluate_lambda([bad, 1.0], [1.0], scen, specs, HALF_DAY, SupplyCostParams(1.0))
 
 
 def test_scan_vs_grid_with_elastic_demand(quadratic_supply):
