@@ -32,7 +32,6 @@ from .demand import (
     aggregate_by_type,
     generate_synthetic,
     ingest_hourly_loads,
-    permute_second_user,
     reduce_scenarios,
     synthetic_grouping,
 )
@@ -55,15 +54,10 @@ from .response import (
     EquivalentTransform,
     ResponseProfile,
     StorageSpec,
-    ThresholdSet,
     capacity_curve,
     equivalent_transform,
-    optimal_capacity_continuous,
     optimal_capacity_discrete,
-    optimal_charge,
     respond,
-    respond_elastic,
-    threshold_set,
     threshold_set_extended,
 )
 

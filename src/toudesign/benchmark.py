@@ -44,8 +44,8 @@ class SolverSettings:
     max_iterations: int = 10_000
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise InputError("tolerance must be > 0")
+        if not 0 < self.tolerance < np.inf:
+            raise InputError("tolerance must be finite and > 0")
         if self.max_iterations < 1:
             raise InputError("max_iterations must be >= 1")
 

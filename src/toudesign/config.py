@@ -5,8 +5,9 @@ into the run artifact so no value stays implicit. Each value read from a
 file is checked against its field's declared type (an int serves for a
 float, a bool for neither) and kept as loaded. The supply, annuity and
 solver sections are the library's own parameter classes, range-checked at
-load for every command, as are the data, synthetic and pricing counts and
-bounds and the storage specs, which are built once at load so that
+load for every command, as are the data, synthetic, grouping and pricing
+counts and bounds, the peak hours, whose period structure is built at load,
+and the storage specs, which are built once at load so that
 `StorageSpec` checks the efficiencies, degradation cost and elastic share
 of every type; an elastic_cost in use must be >= 0 and below the cheapest
 type's storage cost. Storage costs for K types spread around a mean cost
@@ -116,8 +117,8 @@ class SyntheticCfg:
     def __post_init__(self):
         if min(self.n_types, self.users_per_type, self.n_outcomes) < 1:
             raise InputError("n_types, users_per_type and n_outcomes must be >= 1")
-        if not self.peak_range_mwh >= 0:
-            raise InputError("peak_range_mwh must be >= 0")
+        if not 0 <= self.peak_range_mwh < np.inf:
+            raise InputError("peak_range_mwh must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -163,6 +164,14 @@ class GroupingCfg:
     mode: str = "fixed"  # fixed | random
     seeds: tuple[int, ...] = (0,)
 
+    def __post_init__(self):
+        if self.mode not in ("fixed", "random"):
+            raise InputError("mode must be fixed or random")
+        if not self.seeds:
+            raise InputError("seeds must be non-empty")
+        if min(self.seeds) < 0:
+            raise InputError("seeds must be >= 0")
+
 
 @dataclass(frozen=True)
 class SweepsCfg:
@@ -194,10 +203,10 @@ class ExperimentConfig:
             raise InputError("data.units must be 'mwh' or 'kwh'")
         if self.storage.delta_s < 0:
             raise InputError("storage.delta_s must be >= 0")
-        if self.grouping.mode not in ("fixed", "random"):
-            raise InputError("grouping.mode must be fixed or random")
-        if not self.grouping.seeds:
-            raise InputError("grouping.seeds must be non-empty")
+        try:
+            self.periods()
+        except InputError as exc:
+            raise InputError(f"peak_hours: {exc}") from None
         if self.theta_bar_value() <= 0:
             raise InputError("mean storage cost must be > 0")
         thetas = self.type_thetas()

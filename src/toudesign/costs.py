@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -32,8 +32,8 @@ class AnnuityParams:
     def __post_init__(self):
         if self.rate < 0 or not math.isfinite(self.rate):
             raise InputError("interest rate must be finite and >= 0")
-        if self.years < 1 or self.days_per_year < 1:
-            raise InputError("horizon must span at least one year and one day per year")
+        if not (1 <= self.years < math.inf and 1 <= self.days_per_year < math.inf):
+            raise InputError("years and days_per_year must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -222,24 +222,15 @@ def no_storage_cost(
 
 
 def approximation_gap(
-    table: HourlyLoadTable,
-    periods: PeriodStructure | Sequence[Iterable[int]],
-    supply: SupplyCostParams,
+    table: HourlyLoadTable, periods: PeriodStructure, supply: SupplyCostParams
 ) -> float:
     """Relative supply-cost error of the constant-power period approximation.
 
     Compares the expected daily supply cost computed from the hourly load
-    profile against the cost computed from period totals served at constant
-    power. `periods` may be a PeriodStructure or any partition of the 24
-    hours into disjoint windows (e.g. three periods).
+    profile against the cost computed from the peak and off-peak totals
+    served at constant power.
     """
-    if isinstance(periods, PeriodStructure):
-        windows = [sorted(periods.peak_hours), sorted(periods.offpeak_hours)]
-    else:
-        windows = [sorted(int(h) for h in w) for w in periods]
-        flat = [h for w in windows for h in w]
-        if sorted(flat) != list(range(24)) or not all(windows):
-            raise InputError("period windows must be non-empty and partition hours 0..23")
+    windows = [sorted(periods.peak_hours), sorted(periods.offpeak_hours)]
     profile = table.net.sum(axis=1)  # system net load, one row per day
     hourly = supply.alpha * profile**2 + supply.beta * profile + supply.gamma
     hourly_total = float(hourly.sum(axis=1).mean())

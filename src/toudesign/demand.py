@@ -14,7 +14,7 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -407,8 +407,8 @@ def generate_synthetic(
     """
     if min(n_types, users_per_type, n_outcomes) < 1:
         raise InputError("all counts must be >= 1")
-    if range_hi < 0:
-        raise InputError("range_hi must be >= 0")
+    if not 0 <= range_hi < np.inf:
+        raise InputError("range_hi must be finite and >= 0")
     rng = np.random.default_rng(seed)
     n_users = n_types * users_per_type
     peak = rng.uniform(0.0, range_hi, size=(n_outcomes, n_users)) if range_hi > 0 else np.zeros((n_outcomes, n_users))
@@ -427,22 +427,6 @@ def synthetic_grouping(scenarios: ScenarioSet) -> dict[str, str]:
             raise InputError(f"entity {entity!r} does not follow the t<k>u<j> convention")
         grouping[entity] = entity.split("u")[0]
     return grouping
-
-
-def permute_second_user(
-    base: Sequence[float], e: float, perm: Sequence[int]
-) -> tuple[np.ndarray, float]:
-    """Derive a second demand vector as e * base[perm] and report the Pearson
-    correlation between the two. Outcomes are treated as equiprobable."""
-    base = np.asarray(base, dtype=float)
-    perm = np.asarray(perm, dtype=int)
-    if sorted(perm.tolist()) != list(range(base.shape[0])):
-        raise InputError("perm must be a permutation of the outcome indices")
-    second = e * base[perm]
-    if np.ptp(base) == 0 or np.ptp(second) == 0:
-        raise InputError("correlation undefined for a constant demand vector")
-    corr = float(np.corrcoef(base, second)[0, 1])
-    return second, corr
 
 
 def reduce_scenarios(s: ScenarioSet, target: int) -> ScenarioSet:

@@ -15,7 +15,7 @@ peak period is eta_c * eta_d times the purchase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,21 +86,6 @@ class ResponseProfile:
         object.__setattr__(self, "shifted", shifted)
 
 
-@dataclass(frozen=True)
-class ThresholdSet:
-    """Sorted price differences at which an entity's optimal capacity jumps."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
-        if not values:
-            raise InputError("threshold set must not be empty")
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise InputError("thresholds must be strictly increasing")
-        object.__setattr__(self, "values", values)
-
-
 class EquivalentTransform(NamedTuple):
     """Reparametrization mapping a lossy storage problem onto the lossless one.
 
@@ -136,22 +121,6 @@ def _validate_discrete(peak_outcomes, probs):
     return peak_outcomes, probs
 
 
-def optimal_capacity_continuous(
-    inverse_cdf: Callable[[float], float], theta: float, p_delta: float
-) -> float:
-    """Newsvendor capacity under a continuous peak-demand distribution.
-
-    The optimal capacity sits at the critical fractile (p_delta - theta) /
-    p_delta of peak demand; below (or at) the capacity cost theta no storage
-    pays off.
-    """
-    if p_delta < 0:
-        raise InputError("p_delta must be >= 0")
-    if p_delta <= theta:
-        return 0.0
-    return float(inverse_cdf((p_delta - theta) / p_delta))
-
-
 def optimal_capacity_discrete(
     peak_outcomes: Sequence[float],
     probs: Sequence[float],
@@ -179,39 +148,6 @@ def capacity_curve(
     return steps[_steps_bought(probs, theta, np.asarray(p_deltas, dtype=float))]
 
 
-def optimal_charge(capacity: float, peak_demand: float) -> float:
-    """Daily charge: fill storage up to realized peak demand."""
-    if capacity < 0:
-        raise InputError("capacity must be >= 0")
-    return min(capacity, peak_demand)
-
-
-def threshold_set(
-    peak_outcomes: Sequence[float], probs: Sequence[float], theta: float
-) -> ThresholdSet:
-    """Price differences where the step-wise capacity can jump, plus zero.
-
-    One threshold per sorted outcome position, theta divided by the tail
-    probability mass from that position up. Duplicate outcome values still
-    contribute their own tail-mass threshold.
-    """
-    return threshold_set_extended(StorageSpec(theta=theta), peak_outcomes, probs, 0.0)
-
-
-def respond_elastic(
-    spec: StorageSpec, peak: Sequence[float], p_delta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """All-or-nothing elastic shift of the spec's elastic share of peak
-    demand: move all of it once p_delta exceeds the shift cost, nothing
-    otherwise. Returns (shifted, residual peak demand)."""
-    peak = np.asarray(peak, dtype=float)
-    if spec.e_shift is not None and p_delta > spec.e_shift:
-        shifted = spec.elastic_fraction * peak
-    else:
-        shifted = np.zeros_like(peak)
-    return shifted, np.maximum(peak - shifted, 0.0)
-
-
 def equivalent_transform(
     spec: StorageSpec, p_o: float, p_delta: float
 ) -> EquivalentTransform:
@@ -236,17 +172,17 @@ def threshold_set_extended(
     peak_outcomes: Sequence[float],
     probs: Sequence[float],
     p_o: float,
-) -> ThresholdSet:
+) -> tuple[float, ...]:
     """Capacity-jump price differences for the lossy/degrading model.
 
     Thresholds of the transformed problem mapped back to grid prices: the
-    activation price plus theta / eta_d over each tail mass.
+    activation price plus theta / eta_d over each tail mass. Returned sorted
+    and distinct, starting at the activation price.
     """
     _, probs = _validate_discrete(peak_outcomes, probs)
     base = equivalent_transform(spec, p_o, 0.0).activation_price
     values = spec.theta / spec.eta_d / _tail_masses(probs) + base
-    uniq = sorted(set([float(base)] + [float(v) for v in values]))
-    return ThresholdSet(tuple(uniq))
+    return tuple(sorted(set([float(base)] + [float(v) for v in values])))
 
 
 def respond(
@@ -257,16 +193,21 @@ def respond(
 ) -> ResponseProfile:
     """Full best response of one entity to a tariff.
 
-    Applies the elastic shift of the spec's elastic share, the equivalent
-    transform and the discrete capacity rule, then the per-outcome charge
-    rule. Charges are returned in purchased MWh.
+    Shifts all of the spec's elastic share once p_delta exceeds the shift
+    cost and none otherwise, then applies the equivalent transform and the
+    discrete capacity rule to the residual peak demand, then the per-outcome
+    charge rule. Charges are returned in purchased MWh.
     """
     probs = np.asarray(probs, dtype=float)
     peak = np.asarray(peak, dtype=float)
     if peak.shape != probs.shape:
         raise InputError("peak demand must cover every outcome")
     p_delta = prices.p_delta
-    shifted, residual = respond_elastic(spec, peak, p_delta)
+    if spec.e_shift is not None and p_delta > spec.e_shift:
+        shifted = spec.elastic_fraction * peak
+    else:
+        shifted = np.zeros_like(peak)
+    residual = np.maximum(peak - shifted, 0.0)
     tr = equivalent_transform(spec, prices.p_offpeak, p_delta)
     demand_dag = residual * tr.peak_scale
     order = np.argsort(demand_dag, kind="stable")

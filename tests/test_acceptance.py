@@ -36,7 +36,7 @@ from toudesign import (
     solve_so,
     so_zero_cost,
     synthetic_grouping,
-    threshold_set,
+    threshold_set_extended,
     tightness_instance,
     user_specs_from_grouping,
     validate_structure_pricing,
@@ -104,7 +104,7 @@ def test_criterion_2_stage2_oracle_equivalence():
         worst = max(worst, gap)
         assert gap <= 1e-9
         # capacity only steps at the published threshold points
-        values = np.array(threshold_set(demand, probs, theta).values)
+        values = np.array(threshold_set_extended(StorageSpec(theta=theta), demand, probs, 0.0))
         for lo, hi in zip(values, values[1:]):
             grid = np.linspace(lo, hi, 1000, endpoint=False)[1:]
             caps = capacity_curve(demand, probs, theta, grid)

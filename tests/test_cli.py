@@ -399,7 +399,10 @@ def test_malformed_config_value_is_invalid_input(tmp_path, capsys, override, key
         ("storage", "tau", float("nan")),
         ("storage", "theta_bar", float("inf")),
         ("annuity", "years", 0),
+        ("annuity", "years", float("nan")),
+        ("annuity", "days_per_year", float("inf")),
         ("solver", "tolerance", 0),
+        ("solver", "tolerance", float("inf")),
         ("solver", "max_iterations", 0),
     ],
 )
@@ -431,6 +434,29 @@ def test_out_of_range_data_or_storage_value_fails_every_command(
     assert main([command, "--config", str(cfg), "--out", str(out), *axis]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"invalid input: {section}: {key} must be "), err
+    assert not (out / "run_meta.json").exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "optimize", "sweep", "benchmark", "verify"])
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"grouping": {"mode": "random", "seeds": [-1]}}, "grouping: seeds must be >= 0"),
+        ({"synthetic": {"peak_range_mwh": float("inf")}}, "synthetic: peak_range_mwh must be finite"),
+        ({"peak_hours": [25]}, "peak_hours: peak hours must be a non-empty subset of 0..23"),
+        ({"peak_hours": []}, "peak_hours: peak hours must be a non-empty subset of 0..23"),
+    ],
+    ids=["negative-seed", "infinite-range", "hour-25", "no-peak-hour"],
+)
+def test_out_of_range_grouping_synthetic_or_peak_hours_fails_every_command(
+    tmp_path, capsys, command, override, message
+):
+    cfg = write_config(tmp_path, override)
+    out = tmp_path / "out"
+    axis = ["--axis", "theta_bar"] if command == "sweep" else []
+    assert main([command, "--config", str(cfg), "--out", str(out), *axis]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: {message}"), err
     assert not (out / "run_meta.json").exists()
 
 

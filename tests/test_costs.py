@@ -364,21 +364,7 @@ def test_approximation_gap_single_spike():
     assert gap == pytest.approx(1.0 - 1.0 / 12)
 
 
-def test_approximation_gap_three_period_partition():
-    load = np.zeros(24)
-    load[3] = 5.0
-    table = one_day_table(load)
-    windows = [range(0, 8), range(8, 16), range(16, 24)]
-    gap = approximation_gap(table, windows, SupplyCostParams(1.0))
-    assert gap == pytest.approx(1.0 - 1.0 / 8)
-
-
 def test_approximation_gap_undefined_for_zero_load():
     table = one_day_table(np.zeros(24))
     with pytest.raises(InputError):
         approximation_gap(table, HALF_DAY, SupplyCostParams(1.0))
-
-
-def test_approximation_gap_rejects_bad_partition():
-    with pytest.raises(InputError):
-        approximation_gap(flat_day_table(), [range(0, 10)], SupplyCostParams(1.0))

@@ -21,7 +21,6 @@ from toudesign import (
     aggregate_by_type,
     generate_synthetic,
     ingest_hourly_loads,
-    permute_second_user,
     reduce_scenarios,
     synthetic_grouping,
 )
@@ -246,29 +245,6 @@ def test_generate_synthetic_shape_and_determinism():
 def test_generate_synthetic_zero_range():
     scen = generate_synthetic(1, 2, 3, 0.0, seed=1)
     assert np.all(scen.peak == 0)
-
-
-def test_permute_identity_scaled_is_perfectly_correlated():
-    base = np.array([50.0, 42.0, 34.0, 26.0, 18.0, 10.0, 2.0])
-    second, corr = permute_second_user(base, 0.8, list(range(7)))
-    np.testing.assert_allclose(second, 0.8 * base)
-    assert corr == pytest.approx(1.0)
-
-
-def test_permute_reversal_is_anticorrelated():
-    base = np.array([50.0, 42.0, 34.0, 26.0, 18.0, 10.0, 2.0])
-    _, corr = permute_second_user(base, 0.8, list(reversed(range(7))))
-    assert corr == pytest.approx(-1.0)
-
-
-def test_permute_constant_base_rejected():
-    with pytest.raises(InputError):
-        permute_second_user(np.full(4, 3.0), 1.0, [0, 1, 2, 3])
-
-
-def test_permute_invalid_permutation_rejected():
-    with pytest.raises(InputError):
-        permute_second_user(np.array([1.0, 2.0]), 1.0, [0, 0])
 
 
 def test_reduce_identity():

@@ -24,3 +24,29 @@ def test_every_traced_target_resolves_to_a_callable(monkeypatch):
             assert callable(getattr(owner, attr)), target.path
     for name in ("inputs", "tracer", "workloads"):
         sys.modules.pop(name, None)
+
+
+def _program_modules():
+    return {m: mod for m, mod in sys.modules.items() if m == "toudesign" or m.startswith("toudesign.")}
+
+
+def test_every_workload_runs_correctly_at_toy_size(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    # The harness re-imports the program for every round; put back the copy
+    # the other tests use, so that their exception classes stay the same.
+    program = _program_modules()
+    try:
+        import harness
+        from workloads import WORKLOADS
+
+        for name, workload in WORKLOADS.items():
+            record, details = harness.run(name, 7, 0.0, False, workload.toy, PERFBENCH.parent)
+            assert record["correct"], (name, details.problems)
+            assert record["failed"] == 0 and record["attempted"] > 0, (name, record)
+    finally:
+        for m in _program_modules():
+            del sys.modules[m]
+        sys.modules.update(program)
+        for name in ("harness", "inputs", "tracer", "workloads"):
+            sys.modules.pop(name, None)

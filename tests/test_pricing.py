@@ -566,7 +566,7 @@ def _threshold_union(scen, specs, p_o, eps):
             union.add(spec.e_shift)
         dag = peak * (1.0 / (spec.eta_c * spec.eta_d))
         order = np.argsort(dag, kind="stable")
-        union |= set(threshold_set_extended(spec, dag[order], scen.probs[order], p_o).values)
+        union |= set(threshold_set_extended(spec, dag[order], scen.probs[order], p_o))
     keep = []
     for value in sorted(union):
         if not keep or value - keep[-1] > 1e-9 * max(1.0, abs(value)):

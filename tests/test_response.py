@@ -9,12 +9,8 @@ from toudesign import (
     TouPrice,
     capacity_curve,
     equivalent_transform,
-    optimal_capacity_continuous,
     optimal_capacity_discrete,
-    optimal_charge,
     respond,
-    respond_elastic,
-    threshold_set,
     threshold_set_extended,
 )
 from toudesign.oracles import newsvendor_cost, newsvendor_enumeration
@@ -83,56 +79,29 @@ def test_capacity_monotone_in_theta(instance, bump):
     assert hi <= lo
 
 
-def test_continuous_capacity_uniform_oracle():
-    # uniform peak demand on [0, 1]: minimize theta*c - pd*E[min(c, D)] by
-    # dense scalar search and compare with the critical fractile rule
-    theta, p_delta = 1.0, 2.0
-    grid = np.linspace(0, 1, 200_001)
-    expected_served = grid - grid**2 / 2.0
-    costs = theta * grid - p_delta * expected_served
-    brute = grid[np.argmin(costs)]
-    cap = optimal_capacity_continuous(lambda q: q, theta, p_delta)
-    assert cap == pytest.approx(0.5, abs=1e-12)
-    assert brute == pytest.approx(cap, abs=1e-5)
-
-
-def test_continuous_capacity_boundaries():
-    assert optimal_capacity_continuous(lambda q: q, 1.0, 0.5) == 0.0
-    assert optimal_capacity_continuous(lambda q: q, 1.0, 1.0) == 0.0
-    # p_delta -> infinity pushes the fractile to 1
-    assert optimal_capacity_continuous(lambda q: q, 1.0, 1e12) == pytest.approx(
-        1.0, abs=1e-9
-    )
-
-
-def test_optimal_charge():
-    assert optimal_charge(0.0, 3.0) == 0.0
-    assert optimal_charge(5.0, 3.0) == 3.0
-    assert optimal_charge(2.0, 3.0) == 2.0
-
-
 def test_threshold_set_examples():
-    ts = threshold_set([1.0, 2.0], [0.5, 0.5], 1.0)
-    assert ts.values == (0.0, 1.0, 2.0)
-    ts_single = threshold_set([4.0], [1.0], 0.171)
-    assert ts_single.values == (0.0, 0.171)
+    ts = threshold_set_extended(StorageSpec(theta=1.0), [1.0, 2.0], [0.5, 0.5], 0.0)
+    assert ts == (0.0, 1.0, 2.0)
+    ts_single = threshold_set_extended(StorageSpec(theta=0.171), [4.0], [1.0], 0.0)
+    assert ts_single == (0.0, 0.171)
 
 
 def test_threshold_set_first_positive_is_theta():
     rng = np.random.default_rng(0)
     probs = rng.uniform(0.1, 1.0, 5)
     probs /= probs.sum()
-    ts = threshold_set(np.sort(rng.uniform(0, 5, 5)), probs, 0.7)
-    assert ts.values[0] == 0.0
-    assert ts.values[1] == pytest.approx(0.7)
+    ts = threshold_set_extended(
+        StorageSpec(theta=0.7), np.sort(rng.uniform(0, 5, 5)), probs, 0.0
+    )
+    assert ts[0] == 0.0
+    assert ts[1] == pytest.approx(0.7)
 
 
 def test_capacity_steps_only_at_thresholds_with_duplicates():
     demand = np.array([1.0, 2.0, 2.0, 3.0])
     probs = np.array([0.1, 0.2, 0.3, 0.4])
     theta = 0.9
-    ts = threshold_set(demand, probs, theta)
-    values = np.array(ts.values)
+    values = np.array(threshold_set_extended(StorageSpec(theta=theta), demand, probs, 0.0))
     curve_points = []
     for lo, hi in zip(values, values[1:]):
         grid = np.linspace(lo, hi, 200, endpoint=False)[1:]
@@ -159,13 +128,12 @@ def test_capacity_curve_matches_scalar():
 def test_respond_elastic_boundary_and_full_shift():
     spec = StorageSpec(theta=1.0, e_shift=0.4, elastic_fraction=0.5)
     peak = np.array([3.0, 5.0])
+    probs = np.array([0.5, 0.5])
     elastic = np.array([1.5, 2.5])
-    q, residual = respond_elastic(spec, peak, 0.4)
-    np.testing.assert_array_equal(q, [0.0, 0.0])
-    np.testing.assert_array_equal(residual, peak)
-    q, residual = respond_elastic(spec, peak, 0.41)
-    np.testing.assert_array_equal(q, elastic)
-    np.testing.assert_array_equal(residual, peak - elastic)
+    at_cost = respond(spec, TouPrice(0.4), probs, peak)
+    np.testing.assert_array_equal(at_cost.shifted, [0.0, 0.0])
+    above = respond(spec, TouPrice(0.41), probs, peak)
+    np.testing.assert_array_equal(above.shifted, elastic)
 
 
 def test_storage_spec_rejects_elastic_fraction_outside_unit_interval():
@@ -229,9 +197,9 @@ def test_threshold_set_extended_reduces_to_plain():
     spec = StorageSpec(theta=1.3)
     demand = np.array([1.0, 2.0, 4.0])
     probs = np.array([0.2, 0.3, 0.5])
-    plain = threshold_set(demand, probs, spec.theta)
+    plain = threshold_set_extended(spec, demand, probs, 0.0)
     ext = threshold_set_extended(spec, demand, probs, 7.0)
-    assert ext.values == plain.values
+    assert ext == plain
 
 
 def test_threshold_set_extended_values():
@@ -240,7 +208,7 @@ def test_threshold_set_extended_values():
     probs = np.array([0.5, 0.5])
     ext = threshold_set_extended(spec, demand, probs, 0.0)
     expected = sorted({0.0, 1.0 / 0.9 / 1.0, 1.0 / 0.9 / 0.5})
-    assert ext.values == pytest.approx(tuple(expected))
+    assert ext == pytest.approx(tuple(expected))
 
 
 def test_threshold_set_extended_monotone_in_tau():
@@ -249,7 +217,7 @@ def test_threshold_set_extended_monotone_in_tau():
     previous = None
     for tau in (0.0, 0.2, 0.5):
         spec = StorageSpec(theta=1.0, eta_c=0.9, eta_d=0.9, tau=tau)
-        values = np.array(threshold_set_extended(spec, demand, probs, 1.0).values)
+        values = np.array(threshold_set_extended(spec, demand, probs, 1.0))
         if previous is not None:
             assert np.all(values > previous)
         previous = values
@@ -277,7 +245,7 @@ def test_respond_reproduces_plain_composition():
         cap = optimal_capacity_discrete(peak[order], probs[order], theta, p_delta)
         assert r.capacity == cap
         np.testing.assert_array_equal(
-            r.charge, [optimal_charge(cap, d) for d in peak]
+            r.charge, [min(cap, d) for d in peak]
         )
 
 
