@@ -65,15 +65,6 @@ class SocialPlan:
     iterations: int = 0
     optimality_residual: float = math.nan
 
-    def to_json_dict(self) -> dict:
-        return {
-            "capacities": {k: float(v) for k, v in self.capacities.items()},
-            "charges": {k: [float(x) for x in v] for k, v in self.charges.items()},
-            "social_cost": self.social_cost.to_json_dict(),
-            "iterations": self.iterations,
-            "optimality_residual": self.optimality_residual,
-        }
-
 
 @dataclass(frozen=True)
 class RatioReport:
@@ -95,11 +86,6 @@ class RatioReport:
     @property
     def kappa_no(self) -> float:
         return self.sc_no / self.sc_so
-
-    def to_json_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "sc_pt", "sc_pi", "sc_so", "sc_no", "kappa_pt", "kappa_pi", "kappa_no"
-        )}
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 The commands only read the configuration, call the library and write
 files; the `verify` suite and the `--verify-grid` check come from
-`toudesign.oracles`.
+`toudesign.oracles`. This is the only module that writes a file or decides
+a file's layout: the library returns values.
 
 Exit codes: 0 success, 2 invalid input, 3 invariant violation, 4 solver
 non-convergence. Once the configuration has resolved, every command writes
@@ -21,7 +22,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from statistics import mean, pstdev
 
@@ -48,8 +49,22 @@ from .pricing import (
 )
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _json_default(obj):
+    """An array as its list; a result dataclass as its fields plus its
+    read-only properties (a breakdown's total, the kappa ratios, a
+    structure verdict)."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if is_dataclass(obj):
+        names = [f.name for f in fields(obj)]
+        names += [n for n, v in vars(type(obj)).items() if isinstance(v, property)]
+        return {n: getattr(obj, n) for n in names}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _write_json(path: Path, payload) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    path.write_text(text + "\n")
 
 
 def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
@@ -94,7 +109,7 @@ def _result_payload(result: PricingResult) -> dict:
         "n_candidates": result.n_candidates,
         "n_evaluations": result.n_evaluations,
         "scan_cost": result.scan_cost,
-        "social_cost": result.social_cost.to_json_dict(),
+        "social_cost": result.social_cost,
         "capacities": {e: r.capacity for e, r in sorted(result.responses.items())},
         "total_capacity": _total_capacity(result),
     }
@@ -165,11 +180,18 @@ def _optimize_one(
 
 
 def cmd_ingest(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path]) -> int:
-    scenarios = cfg.load_user_scenarios(seed)
+    scen = cfg.load_user_scenarios(seed)
     path = out / "scenarios.csv"
-    scenarios.to_csv(path)
+    # Python floats: a numpy scalar's repr would write "np.float64(...)"
+    probs, peak, offpeak = (a.tolist() for a in (scen.probs, scen.peak, scen.offpeak))
+    rows = [
+        [w, probs[w], entity, peak[w][j], offpeak[w][j]]
+        for w in range(scen.n_outcomes)
+        for j, entity in enumerate(scen.entities)
+    ]
+    _write_rows(path, ["outcome", "prob", "entity", "peak_mwh", "offpeak_mwh"], rows)
     outputs.append(path)
-    print(f"wrote {path} ({scenarios.n_outcomes} outcomes, {scenarios.n_entities} entities)")
+    print(f"wrote {path} ({scen.n_outcomes} outcomes, {scen.n_entities} entities)")
     return 0
 
 
@@ -225,12 +247,8 @@ def cmd_benchmark(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Pat
         "pi": validate_structure_pricing(pi.responses, thetas, user_scenarios),
     }
     paths = [out / "ratios.json", out / "so_plan.json", out / "structure.json"]
-    _write_json(paths[0], ratios.to_json_dict())
-    _write_json(paths[1], plan.to_json_dict())
-    _write_json(
-        paths[2],
-        {k: {"ok": r.ok, "violations": r.violations} for k, r in reports.items()},
-    )
+    for path, payload in zip(paths, (ratios, plan, reports)):
+        _write_json(path, payload)
     outputs.extend(paths)
     print(
         f"kappa_pt={ratios.kappa_pt:.6f} kappa_pi={ratios.kappa_pi:.6f} "
@@ -410,6 +428,8 @@ def main(argv=None) -> int:
             if args.config
             else ExperimentConfig()
         )
+        if args.seed is not None and args.seed < 0:
+            raise InputError("seed must be >= 0")
         args.out.mkdir(parents=True, exist_ok=True)
     except (InputError, OSError, yaml.YAMLError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

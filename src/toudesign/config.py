@@ -199,6 +199,8 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
         if self.data.units not in ("mwh", "kwh"):
             raise InputError("data.units must be 'mwh' or 'kwh'")
         if self.storage.delta_s < 0:

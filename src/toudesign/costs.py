@@ -75,15 +75,6 @@ class SocialCostBreakdown:
             + self.expected_supply_cost
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "investment_cost": self.investment_cost,
-            "degradation_cost": self.degradation_cost,
-            "shift_cost": self.shift_cost,
-            "expected_supply_cost": self.expected_supply_cost,
-            "total": self.total,
-        }
-
 
 def daily_cost_factor(p: AnnuityParams) -> float:
     """Factor converting a one-time capital cost into an equivalent daily cost.

@@ -147,68 +147,6 @@ class ScenarioSet:
             and np.array_equal(self.offpeak, other.offpeak)
         )
 
-    def to_csv(self, path) -> None:
-        """Write rows `outcome,prob,entity,peak_mwh,offpeak_mwh`."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["outcome", "prob", "entity", "peak_mwh", "offpeak_mwh"])
-            for w in range(self.n_outcomes):
-                for j, entity in enumerate(self.entities):
-                    writer.writerow(
-                        [
-                            w,
-                            repr(float(self.probs[w])),
-                            entity,
-                            repr(float(self.peak[w, j])),
-                            repr(float(self.offpeak[w, j])),
-                        ]
-                    )
-
-    @classmethod
-    def from_csv(cls, path) -> "ScenarioSet":
-        """Read rows as `to_csv` writes them. Every (outcome, entity) pair
-        must appear once, and the rows of one outcome must agree on its
-        probability."""
-        outcomes: dict[int, dict[str, tuple[float, float, float]]] = {}
-        entities: list[str] = []
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            required = {"outcome", "prob", "entity", "peak_mwh", "offpeak_mwh"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise InputError(f"scenario csv must have columns {sorted(required)}")
-            for row in reader:
-                try:
-                    w = int(row["outcome"])
-                    cell = (
-                        float(row["prob"]),
-                        float(row["peak_mwh"]),
-                        float(row["offpeak_mwh"]),
-                    )
-                except ValueError as exc:
-                    raise InputError(f"bad scenario row {row!r}: {exc}") from None
-                entity = row["entity"]
-                if entity not in entities:
-                    entities.append(entity)
-                cells = outcomes.setdefault(w, {})
-                if entity in cells:
-                    raise InputError(f"duplicate scenario row for outcome {w}, entity {entity!r}")
-                if cells and cell[0] != next(iter(cells.values()))[0]:
-                    raise InputError(f"outcome {w} has conflicting probabilities")
-                cells[entity] = cell
-        if not outcomes:
-            raise InputError("scenario csv contains no rows")
-        order = sorted(outcomes)
-        probs, peak, offpeak = [], [], []
-        for w in order:
-            cells = outcomes[w]
-            missing = [e for e in entities if e not in cells]
-            if missing:
-                raise InputError(f"outcome {w} is missing entities {missing}")
-            probs.append(cells[entities[0]][0])
-            peak.append([cells[e][1] for e in entities])
-            offpeak.append([cells[e][2] for e in entities])
-        return cls(tuple(entities), np.array(probs), np.array(peak), np.array(offpeak))
-
 
 @dataclass(frozen=True, eq=False)
 class HourlyLoadTable:

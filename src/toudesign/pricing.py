@@ -326,8 +326,8 @@ def evaluate_lambda(
         raise InputError("grids must be non-empty")
     if not np.isfinite(pds).all():
         raise InputError("price differences must be finite")
-    if np.any(tbs <= 0):
-        raise InputError("mean storage costs must be > 0")
+    if not np.all(np.isfinite(tbs) & (tbs > 0)):
+        raise InputError("mean storage costs must be finite and > 0")
     base_mean = float(np.mean([specs[e].theta for e in scenarios.entities]))
     out = np.empty((pds.size, tbs.size))
     denom = None

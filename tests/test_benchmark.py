@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from toudesign.benchmark import (
     _shift_targets,
     _supply_slope,
 )
+from toudesign.cli import _json_default
 
 from conftest import HALF_DAY, random_scenarios
 
@@ -86,7 +89,8 @@ def test_optimality_residual_flags_zero_capacities_where_storage_pays(quadratic_
         scen, thetas, HALF_DAY, quadratic_supply, np.zeros(3), iterations=0
     )
     assert idle.optimality_residual > 1e-3
-    assert plan.to_json_dict()["optimality_residual"] == plan.optimality_residual
+    payload = json.loads(json.dumps(plan, default=_json_default))
+    assert payload["optimality_residual"] == plan.optimality_residual
 
 
 def test_so_zero_cost_examples():

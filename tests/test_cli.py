@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from toudesign import PeriodStructure, ScenarioSet
+from toudesign import PeriodStructure
 from toudesign.cli import main
 from toudesign.errors import InputError
 
@@ -51,9 +51,11 @@ def test_ingest_roundtrip(tmp_path):
     cfg = write_config(tmp_path, {"data": {"loads_csv": str(loads)}})
     out = tmp_path / "out"
     assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 0
-    scen = ScenarioSet.from_csv(out / "scenarios.csv")
-    assert scen.n_outcomes == 3
-    assert scen.n_entities == 2
+    rows = read_csv(out / "scenarios.csv")
+    assert list(rows[0]) == ["outcome", "prob", "entity", "peak_mwh", "offpeak_mwh"]
+    assert [(r["outcome"], r["entity"]) for r in rows] == [
+        (w, e) for w in ("0", "1", "2") for e in ("a", "b")
+    ]
     meta = json.loads((out / "run_meta.json").read_text())
     assert meta["command"] == "ingest"
     assert meta["exit_status"] == 0
@@ -69,7 +71,19 @@ def test_ingest_real_shaped_loads_in_kwh_with_solar(tmp_path):
     assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 0
     periods = PeriodStructure(frozenset(SMALL_CONFIG["peak_hours"]))
     expected, _ = hourly_loop_oracle(loads, periods, units="kwh", solar_scale=0.5)
-    assert ScenarioSet.from_csv(out / "scenarios.csv").equals(expected)
+    with open(out / "scenarios.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1:] == [
+        [
+            str(w),
+            repr(float(expected.probs[w])),
+            entity,
+            repr(float(expected.peak[w, j])),
+            repr(float(expected.offpeak[w, j])),
+        ]
+        for w in range(expected.n_outcomes)
+        for j, entity in enumerate(expected.entities)
+    ]
 
 
 def test_optimize_writes_results_and_passes_grid_check(tmp_path):
@@ -354,6 +368,15 @@ def test_lambda_sweep_rejects_a_non_finite_price_difference(tmp_path, capsys):
     assert "price differences must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_lambda_sweep_rejects_a_non_finite_mean_storage_cost(tmp_path, capsys, bad):
+    cfg = write_config(tmp_path, {"sweeps": {"p_delta": [1.0], "theta_bar": [bad]}})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--axis", "lambda"]) == 2
+    err = capsys.readouterr().err
+    assert err == "invalid input: mean storage costs must be finite and > 0\n", err
+
+
 def test_missing_config_is_invalid_input(tmp_path):
     assert main(["optimize", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)]) == 2
 
@@ -439,25 +462,38 @@ def test_out_of_range_data_or_storage_value_fails_every_command(
 
 @pytest.mark.parametrize("command", ["ingest", "optimize", "sweep", "benchmark", "verify"])
 @pytest.mark.parametrize(
-    "override, message",
+    "override, flag, message",
     [
-        ({"grouping": {"mode": "random", "seeds": [-1]}}, "grouping: seeds must be >= 0"),
-        ({"synthetic": {"peak_range_mwh": float("inf")}}, "synthetic: peak_range_mwh must be finite"),
-        ({"peak_hours": [25]}, "peak_hours: peak hours must be a non-empty subset of 0..23"),
-        ({"peak_hours": []}, "peak_hours: peak hours must be a non-empty subset of 0..23"),
+        ({"grouping": {"mode": "random", "seeds": [-1]}}, [], "grouping: seeds must be >= 0"),
+        ({"synthetic": {"peak_range_mwh": float("inf")}}, [], "synthetic: peak_range_mwh must be finite"),
+        ({"peak_hours": [25]}, [], "peak_hours: peak hours must be a non-empty subset of 0..23"),
+        ({"peak_hours": []}, [], "peak_hours: peak hours must be a non-empty subset of 0..23"),
+        ({"seed": -1}, [], "seed must be >= 0\n"),
+        ({}, ["--seed", "-1"], "seed must be >= 0\n"),
     ],
-    ids=["negative-seed", "infinite-range", "hour-25", "no-peak-hour"],
+    ids=[
+        "negative-seed", "infinite-range", "hour-25", "no-peak-hour",
+        "negative-config-seed", "negative-seed-flag",
+    ],
 )
 def test_out_of_range_grouping_synthetic_or_peak_hours_fails_every_command(
-    tmp_path, capsys, command, override, message
+    tmp_path, capsys, command, override, flag, message
 ):
     cfg = write_config(tmp_path, override)
     out = tmp_path / "out"
     axis = ["--axis", "theta_bar"] if command == "sweep" else []
-    assert main([command, "--config", str(cfg), "--out", str(out), *axis]) == 2
+    assert main([command, "--config", str(cfg), "--out", str(out), *axis, *flag]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"invalid input: {message}"), err
     assert not (out / "run_meta.json").exists()
+
+
+def test_seed_flag_overrides_the_config_seed_in_run_meta(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert (meta["seed"], meta["config"]["seed"]) == (3, SMALL_CONFIG["seed"])
 
 
 @pytest.mark.parametrize("command", ["ingest", "verify"])

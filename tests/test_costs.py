@@ -21,6 +21,7 @@ from toudesign import (
     social_cost,
     supply_cost_period,
 )
+from toudesign.cli import _json_default
 
 from conftest import HALF_DAY, random_scenarios
 
@@ -312,7 +313,7 @@ def test_social_cost_includes_shift_cost():
 
 def test_breakdown_json_fields():
     sc = SocialCostBreakdown(1.0, 0.5, 0.25, 2.0)
-    payload = json.loads(json.dumps(sc.to_json_dict()))
+    payload = json.loads(json.dumps(sc, default=_json_default))
     assert set(payload) == {
         "investment_cost",
         "degradation_cost",

@@ -343,33 +343,6 @@ def test_reduce_equals_dense_tensor_formula():
             assert reduce_scenarios(scen, target).equals(dense_reduce(scen, target))
 
 
-def test_scenario_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    scen = random_scenarios(rng, 3, 5)
-    path = tmp_path / "scen.csv"
-    scen.to_csv(path)
-    back = ScenarioSet.from_csv(path)
-    assert back.equals(scen)
-
-
-SCENARIO_HEADER = "outcome,prob,entity,peak_mwh,offpeak_mwh\n"
-
-
-def test_scenario_csv_rejects_a_repeated_row(tmp_path):
-    path = tmp_path / "scen.csv"
-    path.write_text(SCENARIO_HEADER + "0,1.0,a,1.0,0.0\n0,1.0,b,2.0,0.0\n0,1.0,a,3.0,0.0\n")
-    with pytest.raises(InputError, match=r"outcome 0, entity 'a'"):
-        ScenarioSet.from_csv(path)
-
-
-def test_scenario_csv_rejects_conflicting_probabilities(tmp_path):
-    path = tmp_path / "scen.csv"
-    rows = "0,0.5,a,1.0,0.0\n0,0.9,b,2.0,0.0\n1,0.5,a,3.0,0.0\n1,0.1,b,4.0,0.0\n"
-    path.write_text(SCENARIO_HEADER + rows)
-    with pytest.raises(InputError, match="outcome 0 has conflicting probabilities"):
-        ScenarioSet.from_csv(path)
-
-
 def test_load_table_csv(tmp_path):
     path = tmp_path / "loads.csv"
     header = "day,entity," + ",".join(f"h{i}" for i in range(24))

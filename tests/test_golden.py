@@ -14,8 +14,9 @@ elastic demand and lossy, degrading storage, where both tariffs buy storage
 and shift load (an extended search, so each trace row starts with its
 off-peak price), and are held to the same rules.
 
-It also holds `benchmark`'s tables and the theta_bar, delta_s, delta_d and
-lambda sweeps on the example config; tests/golden/study holds a small
+It also holds `ingest`'s scenarios.csv, `verify`'s report, `benchmark`'s
+tables and the theta_bar, delta_s, delta_d and lambda sweeps on the example
+config; tests/golden/study holds a small
 study-shaped config and its tau, eta and elastic_fraction sweeps, which the
 example config cannot run, and tests/golden/elastic its lambda and
 elastic_fraction sweeps. These are reproduced byte for byte.
@@ -107,6 +108,8 @@ def test_trace_candidates_identical_and_costs_within_1e12(example_out, scheme):
 
 
 BYTE_IDENTICAL = [
+    (["ingest"], GOLDEN, ["scenarios.csv"]),
+    (["verify"], GOLDEN, ["verify_report.json"]),
     (["benchmark"], GOLDEN, ["ratios.json", "structure.json", "so_plan.json"]),
     *(
         (["sweep", "--axis", axis], GOLDEN, [f"sweep_{axis}.csv"])

@@ -409,6 +409,15 @@ def test_lambda_rejects_a_non_finite_price_difference(bad):
         evaluate_lambda([bad, 1.0], [1.0], scen, specs, HALF_DAY, SupplyCostParams(1.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lambda_rejects_a_non_finite_mean_storage_cost(bad):
+    rng = np.random.default_rng(115)
+    scen = random_scenarios(rng, 1, 2)
+    specs = random_specs(rng, scen.entities)
+    with pytest.raises(InputError, match="mean storage costs must be finite and > 0"):
+        evaluate_lambda([1.0], [1.0, bad], scen, specs, HALF_DAY, SupplyCostParams(1.0))
+
+
 def test_scan_vs_grid_with_elastic_demand(quadratic_supply):
     rng = np.random.default_rng(119)
     for _ in range(15):

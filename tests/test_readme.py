@@ -33,6 +33,18 @@ def test_readme_library_example_runs():
     assert any(line.startswith("TouPrice(") for line in done.stdout.splitlines())
 
 
+def output_patterns() -> list[str]:
+    """The file names of the README's Outputs table as regular expressions:
+    `{pt,pi}` is either scheme and `<axis>` any sweep axis."""
+    section = README[README.index("### Outputs"):README.index("## Library")]
+    names = re.findall(r"^\| `([^`]+)` \|", section, re.M)
+    assert names
+    return [
+        re.escape(name).replace(r"\{pt,pi\}", "(pt|pi)").replace("<axis>", "[a-z_]+")
+        for name in names
+    ]
+
+
 def test_readme_commands_run_on_the_shipped_config(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     commands = [
@@ -41,6 +53,8 @@ def test_readme_commands_run_on_the_shipped_config(tmp_path, monkeypatch, capsys
         if line.strip()
     ]
     assert [argv[1] for argv in commands] == ["ingest", "optimize", "benchmark", "sweep", "verify"]
+    patterns = output_patterns()
+    unlisted, listed = [], set()
     for argv in commands:
         assert argv[0] == "toudesign"
         assert argv[argv.index("--config") + 1] == "configs/example.yaml"
@@ -48,6 +62,13 @@ def test_readme_commands_run_on_the_shipped_config(tmp_path, monkeypatch, capsys
         argv[argv.index("--out") + 1] = str(out)
         assert main(argv[1:]) == 0, capsys.readouterr().err
         assert (out / "run_meta.json").is_file()
+        for path in out.iterdir():
+            matched = [p for p in patterns if re.fullmatch(p, path.name)]
+            listed.update(matched)
+            if not matched:
+                unlisted.append(f"{argv[1]}: {path.name}")
+    assert unlisted == [], "written but missing from the README Outputs table"
+    assert listed == set(patterns), "listed in the README Outputs table but never written"
 
 
 def test_import_leaves_cli_and_oracles_unloaded():
