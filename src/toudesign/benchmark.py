@@ -5,8 +5,11 @@ investment plus expected supply cost. For any capacities the per-outcome
 dispatch problem only depends on the aggregate charge, whose optimum has a
 closed form: equalize the average power of the two periods, clamped to the
 available charging headroom. That reduces the planner problem to a convex
-piecewise-quadratic program in the capacities alone, solved here by cyclic
-coordinate descent with exact one-dimensional minimization. Each coordinate
+piecewise-quadratic program in the capacities alone, solved here by
+coordinate descent with exact one-dimensional minimization over the violated
+users only. Each sweep computes every user's violated one-sided partial
+derivative in one pass, stops once the largest is within the residual limit
+and otherwise steps each user whose violation is positive. Each coordinate
 step is one sorted pass over the breakpoints of that capacity's derivative,
 and the aggregate headroom is kept incrementally, re-summed once per sweep.
 The marginal value of aggregate headroom is continuous, so coordinate-wise
@@ -56,7 +59,9 @@ class SocialPlan:
 
     optimality_residual is the largest violated one-sided partial derivative
     of the planner objective at the capacities (zero at an exact optimum),
-    in the cost unit of the storage costs.
+    in the cost unit of the storage costs; solve_so certifies it at most
+    residual_limit, its tolerance times the derivative's size at zero
+    capacity.
     """
 
     capacities: dict[str, float]
@@ -64,6 +69,7 @@ class SocialPlan:
     social_cost: SocialCostBreakdown
     iterations: int = 0
     optimality_residual: float = math.nan
+    residual_limit: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -178,19 +184,27 @@ def _plan_from_capacities(
     )
 
 
-def _objective(scenarios, thetas_arr, periods, supply):
-    """The planner objective as a function of the capacities; the shift
-    targets and aggregate loads it needs are computed once, here."""
-    targets = _shift_targets(scenarios, periods)
-    agg_peak, agg_offpeak = scenarios.aggregate_peak(), scenarios.aggregate_offpeak()
+def _violations(
+    scenarios: ScenarioSet,
+    thetas_arr: np.ndarray,
+    slope0: np.ndarray,
+    curvature: float,
+    capacities: np.ndarray,
+    headroom: np.ndarray,
+) -> np.ndarray:
+    """Each user's violated one-sided partial derivative of the planner
+    objective (zero where the user is coordinate-optimal).
 
-    def objective(capacities: np.ndarray) -> float:
-        headroom = np.minimum(capacities[None, :], scenarios.peak).sum(axis=1)
-        shift = np.clip(targets, 0.0, headroom)
-        per_outcome = two_period_supply_cost(agg_peak - shift, agg_offpeak + shift, periods, supply)
-        return float(thetas_arr @ capacities + scenarios.probs @ per_outcome)
-
-    return objective
+    Each kink of min(c_i, d_wi) involves one capacity and the clipped supply
+    term is continuously differentiable in the aggregate headroom, so the
+    directional derivative is separable and the capacities are optimal
+    exactly when every right derivative is >= 0 and, where c_i > 0, every
+    left derivative is <= 0 (Tseng 2001, JOTA 109(3)).
+    """
+    saving = scenarios.probs * np.minimum(0.0, slope0 + curvature * headroom)
+    right = thetas_arr + saving @ (scenarios.peak > capacities)
+    left = thetas_arr + saving @ (scenarios.peak >= capacities)
+    return np.maximum(np.maximum(-right, 0.0), np.where(capacities > 0.0, left, 0.0))
 
 
 def _optimality_residual(
@@ -201,20 +215,10 @@ def _optimality_residual(
     capacities: np.ndarray,
     headroom: np.ndarray,
 ) -> float:
-    """Largest violated one-sided partial derivative of the planner objective.
-
-    Each kink of min(c_i, d_wi) involves one capacity and the clipped supply
-    term is continuously differentiable in the aggregate headroom, so the
-    directional derivative is separable and the capacities are optimal
-    exactly when every right derivative is >= 0 and, where c_i > 0, every
-    left derivative is <= 0 (Tseng 2001, JOTA 109(3)).
-    """
+    """Largest violated one-sided partial derivative of the planner objective."""
     slope0, curvature = _supply_slope(scenarios, periods, supply)
-    saving = scenarios.probs * np.minimum(0.0, slope0 + curvature * headroom)
-    right = thetas_arr + saving @ (scenarios.peak > capacities)
-    left = thetas_arr + saving @ (scenarios.peak >= capacities)
-    violations = np.concatenate(([0.0], -right, left[capacities > 0.0]))
-    return float(violations.max())
+    violations = _violations(scenarios, thetas_arr, slope0, curvature, capacities, headroom)
+    return float(violations.max(initial=0.0))
 
 
 def _coordinate_minimum(
@@ -272,15 +276,20 @@ def solve_so(
 ) -> SocialPlan:
     """Minimize investment plus expected supply cost over per-user capacities.
 
-    Cyclic exact coordinate descent on the capacity vector; the per-outcome
-    aggregate charge is always the closed-form clamped optimum. Each
-    coordinate step is one sorted pass over its breakpoints
-    (_coordinate_minimum) against the aggregate headroom of the other users,
-    which is updated in place after every step and re-summed at the start of
-    each sweep so rounding cannot drift. The loop stops when the objective
-    stalls; the returned plan carries the optimality residual of its final
-    capacities. Raises ConvergenceError carrying the best incumbent if the
-    objective has not stalled within max_iterations sweeps.
+    Exact coordinate descent on the capacity vector that steps violated users
+    only; the per-outcome aggregate charge is always the closed-form clamped
+    optimum. Each sweep first computes every user's violated one-sided
+    partial derivative in one vectorized pass (_violations) and stops when
+    the largest is at most the residual limit, tolerance times the size of
+    the derivative at zero capacity (max theta + sum_w p_w |slope0_w|).
+    Otherwise it visits, in index order, every user whose violation is
+    positive: one sorted pass over its breakpoints (_coordinate_minimum)
+    against the aggregate headroom of the other users, which is updated in
+    place after every step and re-summed at the start of each sweep so
+    rounding cannot drift. The returned plan carries the optimality residual
+    of its final capacities and the limit it met. Raises ConvergenceError
+    carrying the best incumbent if the residual is above the limit after
+    max_iterations sweeps.
 
     The planner sees only each user's storage cost theta: it sizes lossless,
     non-degrading storage on inelastic demand, whatever the efficiency,
@@ -296,40 +305,36 @@ def solve_so(
     probs = scenarios.probs
     targets = _shift_targets(scenarios, periods)
     slope0, curvature = _supply_slope(scenarios, periods, supply)
-    n_users = scenarios.n_entities
-    capacities = np.zeros(n_users)
+    limit = float(settings.tolerance * (thetas_arr.max() + probs @ np.abs(slope0)))
+    capacities = np.zeros(scenarios.n_entities)
     # One row per user: its demand and its share min(c_i, d_wi) of headroom.
     demand = np.ascontiguousarray(scenarios.peak.T)
     bound = np.zeros_like(demand)
-    users = list(enumerate(zip(thetas_arr.tolist(), demand, bound)))
-    objective = _objective(scenarios, thetas_arr, periods, supply)
-    obj = objective(capacities)
-    converged = False
+    users = list(zip(thetas_arr.tolist(), demand, bound))
     sweeps = 0
     for sweeps in range(1, settings.max_iterations + 1):
-        moved = 0.0
-        total = bound.sum(axis=0)
-        for i, (theta_i, demand_i, bound_i) in users:
+        # Summed as _plan_from_capacities sums it, so the plan's residual is
+        # the one this check saw.
+        total = np.minimum(capacities, scenarios.peak).sum(axis=1)
+        violations = _violations(scenarios, thetas_arr, slope0, curvature, capacities, total)
+        if violations.max() <= limit:
+            break
+        for i in np.flatnonzero(violations > 0.0).tolist():
+            theta_i, demand_i, bound_i = users[i]
             rest = total - bound_i
-            new_c = _coordinate_minimum(
+            capacities[i] = _coordinate_minimum(
                 theta_i, demand_i, rest, probs, slope0, curvature, targets
             )
-            moved = max(moved, abs(new_c - capacities[i]))
-            capacities[i] = new_c
-            np.minimum(new_c, demand_i, out=bound_i)
+            np.minimum(capacities[i], demand_i, out=bound_i)
             np.add(rest, bound_i, out=total)
-        new_obj = objective(capacities)
-        stalled = abs(obj - new_obj) <= settings.tolerance * max(1.0, abs(new_obj))
-        obj = new_obj
-        if moved == 0.0 or stalled:
-            converged = True
-            break
     plan = _plan_from_capacities(
         scenarios, thetas, periods, supply, capacities, sweeps
     )
-    if not converged:
+    plan.residual_limit = limit
+    if not plan.optimality_residual <= limit:
         raise ConvergenceError(
-            f"planner did not converge within {settings.max_iterations} sweeps",
+            f"planner residual {plan.optimality_residual!r} above its limit {limit!r} "
+            f"after {settings.max_iterations} sweeps",
             best=plan,
         )
     return plan

@@ -9,10 +9,11 @@ Exit codes: 0 success, 2 invalid input, 3 invariant violation, 4 solver
 non-convergence. Once the configuration has resolved, every command writes
 a run_meta.json with the configuration snapshot, the outputs written, its
 exit status and its "metrics" (for `optimize`, each scheme's threshold,
-candidate and evaluation counts), also when a check fails or an exception
-ends it; an invalid configuration reports on stderr only. Result tables
-carry no timestamps so identical configuration and seed reproduce identical
-files.
+candidate and evaluation counts; for `benchmark`, the planner's sweeps,
+final optimality residual and residual limit), also when a check fails or
+an exception ends it; an invalid configuration reports on stderr only.
+Result tables carry no timestamps so identical configuration and seed
+reproduce identical files.
 """
 
 from __future__ import annotations
@@ -237,10 +238,17 @@ def cmd_optimize(
     return 0
 
 
-def cmd_benchmark(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path]) -> int:
+def cmd_benchmark(
+    cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path], metrics: dict
+) -> int:
     user_scenarios = cfg.load_user_scenarios(seed)
     grouping = cfg.groupings(user_scenarios.entities)[0]
     pt, pi, plan, ratios, thetas = _schemes(cfg, user_scenarios, grouping)
+    metrics["so"] = {
+        "sweeps": plan.iterations,
+        "optimality_residual": plan.optimality_residual,
+        "residual_limit": plan.residual_limit,
+    }
     reports = {
         "so": validate_structure_so(plan, thetas, user_scenarios),
         "pt": validate_structure_pricing(pt.responses, thetas, user_scenarios),
@@ -339,6 +347,8 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path], 
     elif axis in _KAPPA_AXES:
         if not grid:
             raise InputError(f"sweeps.{axis} grid is empty")
+        if not np.isfinite(grid).all():
+            raise InputError(f"sweeps.{axis} values must be finite, got {list(grid)!r}")
         rows = []
         for value in grid:
             value = float(value)
@@ -450,7 +460,7 @@ def main(argv=None) -> int:
             command = f"sweep:{args.axis}"
             status = cmd_sweep(cfg, out, seed, outputs, args.axis)
         elif command == "benchmark":
-            status = cmd_benchmark(cfg, out, seed, outputs)
+            status = cmd_benchmark(cfg, out, seed, outputs, metrics)
         else:
             status = cmd_verify(cfg, out, seed, outputs)
     except OrderingViolationError as exc:

@@ -12,8 +12,9 @@ and the storage specs, which are built once at load so that
 of every type; an elastic_cost in use must be >= 0 and below the cheapest
 type's storage cost. Storage costs for K types spread around a mean cost
 theta_bar by the diversity coefficient delta_s; with four types the levels
-are theta_bar * (1 -+ 1.5 delta_s, 1 -+ 0.5 delta_s). delta_s must be >= 0
-and every level > 0, so with K > 1 types delta_s < 2 / (K - 1).
+are theta_bar * (1 -+ 1.5 delta_s, 1 -+ 0.5 delta_s). theta_bar and
+capital_cost_per_mwh must be finite and > 0, delta_s finite and >= 0, and
+every level > 0, so with K > 1 types delta_s < 2 / (K - 1).
 """
 
 from __future__ import annotations
@@ -136,6 +137,12 @@ class StorageCfg:
     def __post_init__(self):
         if self.n_types < 1:
             raise InputError("n_types must be >= 1")
+        for key in ("theta_bar", "capital_cost_per_mwh"):
+            value = getattr(self, key)
+            if value is not None and not 0 < value < np.inf:
+                raise InputError(f"{key} must be finite and > 0, got {value!r}")
+        if not 0 <= self.delta_s < np.inf:
+            raise InputError(f"delta_s must be finite and >= 0, got {self.delta_s!r}")
 
 
 @dataclass(frozen=True)
@@ -203,8 +210,6 @@ class ExperimentConfig:
             raise InputError("seed must be >= 0")
         if self.data.units not in ("mwh", "kwh"):
             raise InputError("data.units must be 'mwh' or 'kwh'")
-        if self.storage.delta_s < 0:
-            raise InputError("storage.delta_s must be >= 0")
         try:
             self.periods()
         except InputError as exc:

@@ -1,4 +1,6 @@
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,18 +30,35 @@ from toudesign import (
 from toudesign.benchmark import (
     _coordinate_minimum,
     _greedy_charges,
-    _objective,
     _plan_from_capacities,
     _shift_targets,
     _supply_slope,
 )
 from toudesign.cli import _json_default
+from toudesign.costs import two_period_supply_cost
 
 from conftest import HALF_DAY, random_scenarios
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def thetas_for(scen, values):
     return {e: float(v) for e, v in zip(scen.entities, values)}
+
+
+def _objective(scenarios, thetas_arr, periods, supply):
+    """The planner objective as a function of the capacities: investment
+    plus the expected supply cost of the clamped optimal aggregate charge."""
+    targets = _shift_targets(scenarios, periods)
+    agg_peak, agg_offpeak = scenarios.aggregate_peak(), scenarios.aggregate_offpeak()
+
+    def objective(capacities: np.ndarray) -> float:
+        headroom = np.minimum(capacities[None, :], scenarios.peak).sum(axis=1)
+        shift = np.clip(targets, 0.0, headroom)
+        per_outcome = two_period_supply_cost(agg_peak - shift, agg_offpeak + shift, periods, supply)
+        return float(thetas_arr @ capacities + scenarios.probs @ per_outcome)
+
+    return objective
 
 
 def test_solve_so_huge_cost_means_no_storage(quadratic_supply):
@@ -152,6 +171,72 @@ def test_solver_reports_non_convergence():
             settings,
         )
     assert isinstance(err.value.best, SocialPlan)
+    assert err.value.best.optimality_residual > err.value.best.residual_limit
+
+
+def residual_limit(scen, thetas, supply, periods=HALF_DAY, tolerance=SolverSettings().tolerance):
+    """tolerance times the size of the planner's derivative at zero capacity."""
+    slope0, _ = _supply_slope(scen, periods, supply)
+    return tolerance * (max(thetas.values()) + scen.probs @ np.abs(slope0))
+
+
+def test_every_plan_is_certified_on_the_criterion_5_instances():
+    # The instances of test_acceptance.py's criterion 5, drawn in its order.
+    supply = SupplyCostParams(alpha=1.0)
+    rng = np.random.default_rng(1004)
+    for _ in range(100):
+        n_users = int(rng.integers(1, 3))
+        n_out = int(rng.integers(1, 4))
+        peak = rng.uniform(0.5, 8.0, size=(n_out, n_users))
+        offpeak = rng.uniform(0.0, 4.0, size=(n_out, n_users))
+        probs = rng.uniform(0.2, 1.0, n_out)
+        probs /= probs.sum()
+        scen = ScenarioSet(tuple(f"u{i}" for i in range(n_users)), probs, peak, offpeak)
+        costs = np.sort(rng.uniform(0.02, 2.0, n_users))
+        for thetas in (thetas_for(scen, costs), {e: 1e-10 for e in scen.entities}):
+            plan = solve_so(scen, thetas, HALF_DAY, supply)
+            assert plan.residual_limit == residual_limit(scen, thetas, supply)
+            assert plan.optimality_residual <= plan.residual_limit
+
+
+# sc_so of perfbench's 256-user equiprobable instance (seed 7) under the
+# objective-stall rule, which stopped at residual 4.2e-4.
+STALL_SC_SO_256 = 78216.7513823139
+
+
+def test_planner_certifies_the_256_user_instance(monkeypatch):
+    import toudesign
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as checked out
+    try:
+        import inputs
+        import workloads
+
+        periods, supply, type_specs = workloads.model(toudesign)
+        inst = workloads.instance(toudesign, inputs.equiprobable_demand(7, 256, 30), type_specs)
+    finally:
+        for name in ("inputs", "tracer", "workloads"):
+            sys.modules.pop(name, None)
+    plan = solve_so(inst.scen, inst.thetas, periods, supply)
+    assert plan.residual_limit == residual_limit(inst.scen, inst.thetas, supply, periods)
+    assert plan.optimality_residual <= plan.residual_limit < 1e-8
+    assert plan.social_cost.total <= STALL_SC_SO_256 * (1.0 + 1e-12)
+
+
+def test_planner_is_deterministic_bit_for_bit(quadratic_supply):
+    rng = np.random.default_rng(16)
+    scen = random_scenarios(rng, 40, 12, equiprob=True)
+    thetas = thetas_for(scen, np.repeat([0.05, 0.1, 0.15, 0.2], 10))
+    first, second = (solve_so(scen, thetas, HALF_DAY, quadratic_supply) for _ in range(2))
+    assert first.capacities == second.capacities
+    for e in scen.entities:
+        assert first.charges[e].tobytes() == second.charges[e].tobytes()
+    assert first.social_cost == second.social_cost
+    assert (first.iterations, first.optimality_residual, first.residual_limit) == (
+        second.iterations, second.optimality_residual, second.residual_limit
+    )
+    assert first.optimality_residual <= first.residual_limit
 
 
 def test_charge_split_is_feasible_and_sums_to_shift(quadratic_supply):

@@ -488,6 +488,61 @@ def test_out_of_range_grouping_synthetic_or_peak_hours_fails_every_command(
     assert not (out / "run_meta.json").exists()
 
 
+@pytest.mark.parametrize("command", ["ingest", "optimize", "sweep", "benchmark", "verify"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("key", ["theta_bar", "delta_s", "capital_cost_per_mwh"])
+def test_non_finite_storage_cost_names_its_key_for_every_command(
+    tmp_path, capsys, command, value, key
+):
+    fields = {key: value}
+    if key == "capital_cost_per_mwh":
+        fields["theta_bar"] = None  # so that the capital cost is the one in use
+    cfg = write_config(tmp_path, {"storage": fields})
+    out = tmp_path / "out"
+    axis = ["--axis", "theta_bar"] if command == "sweep" else []
+    assert main([command, "--config", str(cfg), "--out", str(out), *axis]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: storage: {key} must be finite"), err
+    assert not (out / "run_meta.json").exists()
+
+
+@pytest.mark.parametrize("axis", ["theta_bar", "delta_s"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_sweep_grid_value_names_its_key(tmp_path, capsys, axis, value):
+    cfg = write_config(tmp_path, {"sweeps": {axis: [0.2, value]}})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--axis", axis]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: sweeps.{axis} values must be finite"), err
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert (meta["exit_status"], meta["outputs"]) == (2, [])
+
+
+def test_benchmark_records_the_planner_certificate_in_run_meta(tmp_path, monkeypatch):
+    import toudesign.cli as cli_mod
+
+    solve_so, plans = cli_mod.solve_so, []
+
+    def recording(*args, **kwargs):
+        plans.append(solve_so(*args, **kwargs))
+        return plans[-1]
+
+    monkeypatch.setattr(cli_mod, "solve_so", recording)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+    (plan,) = plans
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["metrics"] == {
+        "so": {
+            "sweeps": plan.iterations,
+            "optimality_residual": plan.optimality_residual,
+            "residual_limit": plan.residual_limit,
+        }
+    }
+    assert 0.0 <= plan.optimality_residual <= plan.residual_limit
+
+
 def test_seed_flag_overrides_the_config_seed_in_run_meta(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
