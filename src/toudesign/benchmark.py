@@ -5,16 +5,18 @@ investment plus expected supply cost. For any capacities the per-outcome
 dispatch problem only depends on the aggregate charge, whose optimum has a
 closed form: equalize the average power of the two periods, clamped to the
 available charging headroom. That reduces the planner problem to a convex
-piecewise-quadratic program in the capacities alone, solved here by
-coordinate descent with exact one-dimensional minimization over the violated
-users only. Each sweep computes every user's violated one-sided partial
-derivative in one pass, stops once the largest is within the residual limit
-and otherwise steps each user whose violation is positive. Each coordinate
-step is one sorted pass over the breakpoints of that capacity's derivative,
-and the aggregate headroom is kept incrementally, re-summed once per sweep.
-The marginal value of aggregate headroom is continuous, so coordinate-wise
-optimality is global optimality for this objective; every plan reports the
-largest violated one-sided partial derivative as an optimality certificate.
+piecewise-quadratic program in the capacities alone. It starts on the
+one-price path: the capacities a single price difference buys where that
+price meets the expected marginal supply saving. Each sweep then computes
+every user's violated one-sided partial derivative in one pass, stops once
+the largest is within the residual limit, otherwise steps each violated user
+to its exact coordinate minimum (one sorted pass over the breakpoints of its
+derivative, with the aggregate headroom kept incrementally) and ends with
+exact Newton moves on the quadratic piece around the free users, which move
+coupled users jointly where coordinate steps would zig-zag. The marginal
+value of aggregate headroom is continuous, so coordinate-wise optimality is
+global optimality for this objective; every plan reports the largest
+violated one-sided partial derivative as an optimality certificate.
 
 Also provided: the zero-cost closed form, ratio reports against the pricing
 schemes and investment-structure validators.
@@ -37,8 +39,11 @@ from .costs import (
 from .demand import PeriodStructure, ScenarioSet
 from .errors import ConvergenceError, InputError, OrderingViolationError
 from .response import ResponseProfile, StorageSpec
+from .scan import _sorted_columns
 
 ORDERING_TOL = 1e-9
+# A null-space direction below this fraction of the gradient is rounding.
+NULL_SPACE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -267,6 +272,225 @@ def _coordinate_minimum(
     return float(min(caps[k], start - at_start / slope[k]))
 
 
+def _one_price_start(
+    peak: np.ndarray,
+    probs: np.ndarray,
+    thetas_arr: np.ndarray,
+    slope0: np.ndarray,
+    curvature: float,
+) -> np.ndarray:
+    """Capacities on the one-price path where the price meets the expected
+    marginal supply saving.
+
+    Under a single price difference each user buys its sorted peak demand
+    step by step, step k firing once the price exceeds theta_i / tail mass_k
+    (the events of `scan._sorted_columns`). With c(k) the capacities after
+    the first k events in price order, the start is c(k) for the first k
+    whose price is at least the expected marginal saving of aggregate
+    headroom once event k has fired: both sides rise with k, so bisection
+    finds it in ceil(log2(events)) passes of O(N W) each.
+    """
+    # Tied demands make zero-size steps: any order of ties gives the same
+    # capacities along the path.
+    levels, tails = _sorted_columns(peak, probs, kind="quicksort")
+    n = peak.shape[1]
+    prices = (thetas_arr / tails).ravel()
+    # Stable, so each user's events stay in sorted order and its capacity
+    # after k events is the level of its last event among them.
+    order = prices.argsort(kind="stable")
+    prices, owner = prices[order], order % n
+    columns = np.arange(n)
+
+    def capacities(k: int) -> np.ndarray:
+        steps = np.bincount(owner[:k], minlength=n)
+        return np.where(steps > 0, levels[steps - 1, columns], 0.0)
+
+    lo, hi = 0, prices.size
+    while lo < hi:
+        k = (lo + hi) // 2
+        headroom = np.minimum(capacities(k + 1), peak).sum(axis=1)
+        if prices[k] + probs @ np.minimum(0.0, slope0 + curvature * headroom) >= 0.0:
+            hi = k
+        else:
+            lo = k + 1
+    return capacities(lo)
+
+
+def _objective_change(
+    thetas_b: np.ndarray,
+    peak_b: np.ndarray,
+    probs: np.ndarray,
+    margin: np.ndarray,
+    curvature: float,
+    before: np.ndarray,
+    after: np.ndarray,
+) -> float:
+    """Change of the planner objective when the capacities of some users
+    (their demand columns peak_b) move from before to after.
+
+    The objective is investment plus (curvature / 2) sum_w p_w (T_w - H_w)_+^2,
+    the expected supply cost of the clamped optimal aggregate charge up to a
+    constant; margin is slope0 + curvature H at the start, -curvature times
+    the shortfall where it is negative. The change is summed from the moved
+    users' own headroom, so it is exact to rounding of the change itself,
+    not of the whole objective.
+    """
+    moved = (np.minimum(after, peak_b) - np.minimum(before, peak_b)).sum(axis=1)
+    old, new = np.minimum(margin, 0.0), np.minimum(margin + curvature * moved, 0.0)
+    supply = probs @ ((new - old) * (new + old)) / (2.0 * curvature)
+    return float(thetas_b @ (after - before) + supply)
+
+
+def _range_basis(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal rows spanning the range of M = scaled' scaled, and M's
+    eigenvalues along them.
+
+    They come from the smaller of the two Gram matrices; eigenvalues up to
+    size x eps of the largest count as zero, as `pinv` treats M's.
+    """
+    if scaled.shape[0] < scaled.shape[1]:
+        lam, u = np.linalg.eigh(scaled @ scaled.T)
+        keep = lam > lam[-1:] * scaled.shape[1] * np.finfo(float).eps
+        return (u[:, keep].T @ scaled) / np.sqrt(lam[keep])[:, None], lam[keep]
+    lam, v = np.linalg.eigh(scaled.T @ scaled)
+    keep = lam > lam[-1:] * scaled.shape[1] * np.finfo(float).eps
+    return v[:, keep].T, lam[keep]
+
+
+def _null_space_step(
+    scaled: np.ndarray, grad: np.ndarray, up: np.ndarray, down: np.ndarray, basis
+) -> np.ndarray:
+    """-(I - M+M)g with M = scaled' scaled: the part of -g along which the
+    model is linear. A kinked user it would move against its violation is
+    held and the direction found again without it; a part at rounding level
+    of g is returned as zero."""
+    step = np.zeros_like(grad)
+    keep = np.arange(grad.size)
+    while keep.size:
+        vt, _ = basis if keep.size == grad.size else _range_basis(scaled[:, keep])
+        part = vt.T @ (vt @ grad[keep]) - grad[keep]
+        if np.abs(part).max() <= NULL_SPACE_RTOL * np.abs(grad[keep]).max():
+            break
+        wrong = np.where(up[keep], part < 0.0, down[keep] & (part > 0.0))
+        if not wrong.any():
+            step[keep] = part
+            break
+        keep = keep[~wrong]
+    return step
+
+
+def _newton_step(
+    scaled: np.ndarray, grad: np.ndarray, room_down: np.ndarray, room_up: np.ndarray, basis
+) -> np.ndarray:
+    """The Newton step -M+g with M = scaled' scaled, kept in the box
+    room_down <= d <= room_up: a user the step would carry out of the box is
+    clamped to the side it crosses, and the others solved again with the
+    clamped users' moves folded into their gradient."""
+    step = np.zeros_like(grad)
+    free = np.ones(grad.size, dtype=bool)
+    while free.any():
+        vt, lam = basis if free.all() else _range_basis(scaled[:, free])
+        g = grad[free] + scaled[:, free].T @ (scaled[:, ~free] @ step[~free])
+        step[free] = -(vt.T @ ((vt @ g) / lam))
+        out = free & ((step < room_down) | (step > room_up))
+        if not out.any():
+            break
+        step[out] = np.clip(step[out], room_down[out], room_up[out])
+        free &= ~out
+    return step
+
+
+def _newton_moves(
+    thetas_arr: np.ndarray,
+    peak: np.ndarray,
+    probs: np.ndarray,
+    slope0: np.ndarray,
+    curvature: float,
+    capacities: np.ndarray,
+) -> np.ndarray:
+    """Capacities after a null-space move and a Newton step on the block.
+
+    Only short outcomes, those with headroom below target, shape the
+    objective near c. The block holds the free users (0 < c_i and c_i at
+    none of its demands in a short outcome) plus the users at such a kink
+    whose one-sided derivative is violated. While no block capacity passes
+    0 or one of those demands and no outcome's headroom crosses its target,
+    the objective is quadratic in the block: g'd + d'Md/2 with
+    M = curvature B' diag(p) B over the short outcomes, where B marks those
+    in which a block user's capacity binds (for a violated kinked user, on
+    the side of its violation). The first move follows -(I - M+M)g, the part
+    of the gradient in M's null space, along which the objective is linear;
+    the second takes the Newton step -M+g, each user kept between its
+    nearest kinks. Each goes as far as the first pattern change, where the
+    model is exact, and is also tried as far as the kinks allow (to t = 1
+    for the Newton step), past outcomes' targets, where it holds nearly.
+    The objective change of each is summed exactly, and the better is kept
+    if the objective falls.
+    """
+    users = None
+    for null_space in (True, False):
+        if users is None:
+            headroom = np.minimum(capacities, peak).sum(axis=1)
+            margin = slope0 + curvature * headroom
+            short = margin < 0.0
+            saving = probs[short] * margin[short]
+            rows = peak[short]
+            right, at = rows > capacities, rows == capacities
+            grad_right = thetas_arr + saving @ right
+            grad_left = grad_right + saving @ at
+            kinked = (capacities == 0.0) | at.any(axis=0)
+            up = kinked & (grad_right < 0.0)
+            down = kinked & (capacities > 0.0) & (grad_left > 0.0)
+            users = np.flatnonzero(~kinked | up | down)
+            if not users.size:
+                break
+            # From here on, arrays run over these users only.
+            up, down, c = up[users], down[users], capacities[users]
+            pattern = right[:, users] | (at[:, users] & down)
+            grads = np.where(down, grad_left[users], grad_right[users])
+            scaled = np.sqrt(curvature * probs[short])[:, None] * pattern
+            sub = rows[:, users]
+            lo = np.where(up, c, np.where(sub < c, sub, 0.0).max(axis=0, initial=0.0))
+            hi = np.where(down, c, np.where(sub > c, sub, np.inf).min(axis=0, initial=np.inf))
+            basis = _range_basis(scaled)
+        if null_space:
+            step = _null_space_step(scaled, grads, up, down, basis)
+        else:
+            step = _newton_step(scaled, grads, lo - c, hi - c, basis)
+        if not step.any():
+            continue
+        # Short outcomes gain headroom at their exact rate; the others can
+        # lose at most the falling capacities that may drop below demand.
+        rate = pattern @ step
+        drop = (peak[~short][:, users] > lo) @ np.minimum(step, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            far = min(
+                np.inf if null_space else 1.0,
+                np.where(step > 0.0, (hi - c) / step, np.inf).min(),
+                np.where(step < 0.0, (lo - c) / step, np.inf).min(),
+            )
+            reach = np.concatenate((
+                np.where(rate > 0.0, -margin[short] / (curvature * rate), np.inf),
+                np.where(drop < 0.0, -margin[~short] / (curvature * drop), np.inf),
+            ))
+        t = min(far, reach.min())
+        best = 0.0
+        for length in (t, far) if far > t else (t,):
+            if not 0.0 < length < np.inf:
+                continue
+            after = np.clip(c + length * step, lo, hi)
+            change = _objective_change(
+                thetas_arr[users], peak[:, users], probs, margin, curvature, c, after
+            )
+            if change < best:
+                best, moved = change, after
+        if best < 0.0:
+            capacities = capacities.copy()
+            capacities[users] = moved
+            users = None
+    return capacities
+
+
 def solve_so(
     scenarios: ScenarioSet,
     thetas: Mapping[str, float],
@@ -276,20 +500,23 @@ def solve_so(
 ) -> SocialPlan:
     """Minimize investment plus expected supply cost over per-user capacities.
 
-    Exact coordinate descent on the capacity vector that steps violated users
-    only; the per-outcome aggregate charge is always the closed-form clamped
-    optimum. Each sweep first computes every user's violated one-sided
-    partial derivative in one vectorized pass (_violations) and stops when
-    the largest is at most the residual limit, tolerance times the size of
-    the derivative at zero capacity (max theta + sum_w p_w |slope0_w|).
-    Otherwise it visits, in index order, every user whose violation is
-    positive: one sorted pass over its breakpoints (_coordinate_minimum)
-    against the aggregate headroom of the other users, which is updated in
-    place after every step and re-summed at the start of each sweep so
-    rounding cannot drift. The returned plan carries the optimality residual
-    of its final capacities and the limit it met. Raises ConvergenceError
-    carrying the best incumbent if the residual is above the limit after
-    max_iterations sweeps.
+    The per-outcome aggregate charge is always the closed-form clamped
+    optimum, so the search is over the capacity vector alone. It starts on
+    the one-price path (_one_price_start). Each sweep first computes every
+    user's violated one-sided partial derivative in one vectorized pass
+    (_violations) and stops when the largest is at most the residual limit,
+    tolerance times the size of the derivative at zero capacity
+    (max theta + sum_w p_w |slope0_w|). Otherwise it visits, in index order,
+    every user whose violation is positive, moving it to its exact
+    coordinate minimum: one sorted pass over its breakpoints
+    (_coordinate_minimum) against the aggregate headroom of the other users,
+    updated in place after every step. The sweep ends with exact Newton
+    moves on the free and violated kinked users (_newton_moves), which move
+    the coupled users that coordinate steps would zig-zag between jointly
+    towards their minimum. The returned plan carries the
+    optimality residual of its final capacities, the limit it met and the
+    number of sweeps. Raises ConvergenceError carrying the best incumbent if
+    the residual is above the limit after max_iterations sweeps.
 
     The planner sees only each user's storage cost theta: it sizes lossless,
     non-degrading storage on inelastic demand, whatever the efficiency,
@@ -302,31 +529,30 @@ def solve_so(
     thetas_arr = np.array([float(thetas[e]) for e in scenarios.entities])
     if np.any(thetas_arr <= 0):
         raise InputError("storage costs must be > 0")
-    probs = scenarios.probs
+    probs, peak = scenarios.probs, scenarios.peak
     targets = _shift_targets(scenarios, periods)
     slope0, curvature = _supply_slope(scenarios, periods, supply)
     limit = float(settings.tolerance * (thetas_arr.max() + probs @ np.abs(slope0)))
-    capacities = np.zeros(scenarios.n_entities)
+    capacities = _one_price_start(peak, probs, thetas_arr, slope0, curvature)
     # One row per user: its demand and its share min(c_i, d_wi) of headroom.
-    demand = np.ascontiguousarray(scenarios.peak.T)
-    bound = np.zeros_like(demand)
-    users = list(zip(thetas_arr.tolist(), demand, bound))
+    demand = np.ascontiguousarray(peak.T)
     sweeps = 0
     for sweeps in range(1, settings.max_iterations + 1):
         # Summed as _plan_from_capacities sums it, so the plan's residual is
         # the one this check saw.
-        total = np.minimum(capacities, scenarios.peak).sum(axis=1)
+        total = np.minimum(capacities, peak).sum(axis=1)
         violations = _violations(scenarios, thetas_arr, slope0, curvature, capacities, total)
         if violations.max() <= limit:
             break
+        bound = np.minimum(capacities[:, None], demand)
         for i in np.flatnonzero(violations > 0.0).tolist():
-            theta_i, demand_i, bound_i = users[i]
-            rest = total - bound_i
+            rest = total - bound[i]
             capacities[i] = _coordinate_minimum(
-                theta_i, demand_i, rest, probs, slope0, curvature, targets
+                thetas_arr[i], demand[i], rest, probs, slope0, curvature, targets
             )
-            np.minimum(capacities[i], demand_i, out=bound_i)
-            np.add(rest, bound_i, out=total)
+            np.minimum(capacities[i], demand[i], out=bound[i])
+            np.add(rest, bound[i], out=total)
+        capacities = _newton_moves(thetas_arr, peak, probs, slope0, curvature, capacities)
     plan = _plan_from_capacities(
         scenarios, thetas, periods, supply, capacities, sweeps
     )

@@ -32,6 +32,7 @@ import yaml
 
 from . import __version__
 from .benchmark import (
+    SocialPlan,
     compute_ratios,
     solve_so,
     validate_structure_pricing,
@@ -243,12 +244,7 @@ def cmd_benchmark(
 ) -> int:
     user_scenarios = cfg.load_user_scenarios(seed)
     grouping = cfg.groupings(user_scenarios.entities)[0]
-    pt, pi, plan, ratios, thetas = _schemes(cfg, user_scenarios, grouping)
-    metrics["so"] = {
-        "sweeps": plan.iterations,
-        "optimality_residual": plan.optimality_residual,
-        "residual_limit": plan.residual_limit,
-    }
+    pt, pi, plan, ratios, thetas = _schemes(cfg, user_scenarios, grouping, metrics)
     reports = {
         "so": validate_structure_so(plan, thetas, user_scenarios),
         "pt": validate_structure_pricing(pt.responses, thetas, user_scenarios),
@@ -270,13 +266,29 @@ def cmd_benchmark(
     return 0
 
 
-def _schemes(cfg, user_scenarios, grouping):
+def _record_plan(metrics: dict | None, plan: SocialPlan) -> None:
+    if metrics is not None:
+        metrics["so"] = {
+            "sweeps": plan.iterations,
+            "optimality_residual": plan.optimality_residual,
+            "residual_limit": plan.residual_limit,
+        }
+
+
+def _schemes(cfg, user_scenarios, grouping, metrics: dict | None = None):
     """PT, PI and the planner at one grid point, as (pt, pi, plan, ratios,
-    per-user storage costs)."""
+    per-user storage costs). The planner's sweeps, final residual and limit
+    go into `metrics` under "so" before the ratios are checked, from the
+    best incumbent if the planner does not converge."""
     pt, _ = _optimize_one(cfg, user_scenarios, grouping, "pt")
     pi, (_, user_specs, periods, supply) = _optimize_one(cfg, user_scenarios, grouping, "pi")
     thetas = {e: spec.theta for e, spec in user_specs.items()}
-    plan = solve_so(user_scenarios, thetas, periods, supply, cfg.solver)
+    try:
+        plan = solve_so(user_scenarios, thetas, periods, supply, cfg.solver)
+    except ConvergenceError as exc:
+        _record_plan(metrics, exc.best)
+        raise
+    _record_plan(metrics, plan)
     sc_no = no_storage_cost(user_scenarios, periods, supply).total
     ratios = compute_ratios(
         pt.social_cost.total, pi.social_cost.total, plan.social_cost.total, sc_no
@@ -320,6 +332,11 @@ _KAPPA_AXES = {
 }
 
 
+def _check_finite(key: str, grid) -> None:
+    if not np.isfinite(grid).all():
+        raise InputError(f"sweeps.{key} values must be finite, got {list(grid)!r}")
+
+
 def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path], axis: str) -> int:
     user_scenarios = cfg.load_user_scenarios(seed)
     groupings = cfg.groupings(user_scenarios.entities)
@@ -328,6 +345,8 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path], 
     if axis == "lambda":
         if not cfg.sweeps.p_delta or not cfg.sweeps.theta_bar:
             raise InputError("lambda sweep needs sweeps.p_delta and sweeps.theta_bar grids")
+        _check_finite("p_delta", cfg.sweeps.p_delta)
+        _check_finite("theta_bar", cfg.sweeps.theta_bar)
         grouping = groupings[0]
         specs = user_specs_from_grouping(cfg.build_specs(), user_scenarios, grouping)
         lam = evaluate_lambda(
@@ -347,8 +366,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path], 
     elif axis in _KAPPA_AXES:
         if not grid:
             raise InputError(f"sweeps.{axis} grid is empty")
-        if not np.isfinite(grid).all():
-            raise InputError(f"sweeps.{axis} values must be finite, got {list(grid)!r}")
+        _check_finite(axis, grid)
         rows = []
         for value in grid:
             value = float(value)

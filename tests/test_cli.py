@@ -8,7 +8,7 @@ import yaml
 
 from toudesign import PeriodStructure
 from toudesign.cli import main
-from toudesign.errors import InputError
+from toudesign.errors import ConvergenceError, InputError, OrderingViolationError
 
 from conftest import hourly_loop_oracle, make_sample_loads
 
@@ -365,7 +365,8 @@ def test_lambda_sweep_rejects_a_non_finite_price_difference(tmp_path, capsys):
     )
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--axis", "lambda"]) == 2
-    assert "price differences must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "invalid input: sweeps.p_delta values must be finite, got [nan, 2.0]\n", err
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -374,7 +375,7 @@ def test_lambda_sweep_rejects_a_non_finite_mean_storage_cost(tmp_path, capsys, b
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--axis", "lambda"]) == 2
     err = capsys.readouterr().err
-    assert err == "invalid input: mean storage costs must be finite and > 0\n", err
+    assert err == f"invalid input: sweeps.theta_bar values must be finite, got [{bad!r}]\n", err
 
 
 def test_missing_config_is_invalid_input(tmp_path):
@@ -541,6 +542,65 @@ def test_benchmark_records_the_planner_certificate_in_run_meta(tmp_path, monkeyp
         }
     }
     assert 0.0 <= plan.optimality_residual <= plan.residual_limit
+
+
+def _planner_metrics(plan):
+    return {
+        "so": {
+            "sweeps": plan.iterations,
+            "optimality_residual": plan.optimality_residual,
+            "residual_limit": plan.residual_limit,
+        }
+    }
+
+
+def test_benchmark_records_the_best_plan_when_the_planner_does_not_converge(
+    tmp_path, monkeypatch
+):
+    import toudesign.cli as cli_mod
+
+    solve_so, best = cli_mod.solve_so, []
+
+    def recording(*args, **kwargs):
+        try:
+            return solve_so(*args, **kwargs)
+        except ConvergenceError as exc:
+            best.append(exc.best)
+            raise
+
+    monkeypatch.setattr(cli_mod, "solve_so", recording)
+    cfg = write_config(tmp_path, {"solver": {"tolerance": 1e-16, "max_iterations": 1}})
+    out = tmp_path / "out"
+    assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 4
+    (plan,) = best
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["metrics"] == _planner_metrics(plan)
+    assert (plan.iterations, meta["outputs"]) == (1, [])
+    assert plan.optimality_residual > plan.residual_limit
+
+
+def test_benchmark_records_the_plan_when_the_ratio_check_fails(tmp_path, monkeypatch):
+    import toudesign.cli as cli_mod
+
+    solve_so, plans = cli_mod.solve_so, []
+
+    def recording(*args, **kwargs):
+        plans.append(solve_so(*args, **kwargs))
+        return plans[-1]
+
+    def violated(*args):
+        raise OrderingViolationError("synthetic ordering violation")
+
+    monkeypatch.setattr(cli_mod, "solve_so", recording)
+    monkeypatch.setattr(cli_mod, "compute_ratios", violated)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 3
+    (plan,) = plans
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["metrics"] == _planner_metrics(plan)
+    assert meta["outputs"] == []
+    assert plan.optimality_residual <= plan.residual_limit
 
 
 def test_seed_flag_overrides_the_config_seed_in_run_meta(tmp_path):
@@ -740,6 +800,19 @@ def test_extended_mode_with_range(tmp_path):
     assert main(["optimize", "--config", str(cfg), "--out", str(out), "--scheme", "pt"]) == 0
     trace = read_csv(out / "trace_pt.csv")
     assert {"p_offpeak", "candidate_pdelta", "social_cost"} == set(trace[0])
+
+
+@pytest.mark.parametrize(
+    "name", ["configs/example.yaml", *(f"tests/golden/{g}/config.yaml" for g in ("study", "elastic"))]
+)
+def test_configs_load_as_the_pure_python_safe_loader_reads_them(name):
+    from pathlib import Path
+
+    from toudesign import ExperimentConfig
+
+    path = Path(__file__).resolve().parent.parent / name
+    pure = ExperimentConfig.from_dict(yaml.load(path.read_text(), Loader=yaml.SafeLoader))
+    assert ExperimentConfig.from_yaml(path) == pure
 
 
 def test_shipped_example_config_parses():
