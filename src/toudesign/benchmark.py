@@ -189,6 +189,25 @@ def _plan_from_capacities(
     )
 
 
+def _one_sided(
+    thetas_arr: np.ndarray,
+    peak: np.ndarray,
+    probs: np.ndarray,
+    margin: np.ndarray,
+    capacities: np.ndarray,
+):
+    """Each user's right and left partial derivatives of the planner
+    objective, with the outcomes whose demand lies above (peak > c) and at
+    (peak == c) its capacity. margin is slope0 + curvature * headroom; an
+    outcome saves supply cost only where it is negative.
+    """
+    saving = probs * np.minimum(0.0, margin)
+    above, at = peak > capacities, peak == capacities
+    right = thetas_arr + saving @ above
+    left = thetas_arr + saving @ (above | at)
+    return right, left, above, at
+
+
 def _violations(
     scenarios: ScenarioSet,
     thetas_arr: np.ndarray,
@@ -206,9 +225,9 @@ def _violations(
     exactly when every right derivative is >= 0 and, where c_i > 0, every
     left derivative is <= 0 (Tseng 2001, JOTA 109(3)).
     """
-    saving = scenarios.probs * np.minimum(0.0, slope0 + curvature * headroom)
-    right = thetas_arr + saving @ (scenarios.peak > capacities)
-    left = thetas_arr + saving @ (scenarios.peak >= capacities)
+    right, left, _, _ = _one_sided(
+        thetas_arr, scenarios.peak, scenarios.probs, slope0 + curvature * headroom, capacities
+    )
     return np.maximum(np.maximum(-right, 0.0), np.where(capacities > 0.0, left, 0.0))
 
 
@@ -290,9 +309,7 @@ def _one_price_start(
     headroom once event k has fired: both sides rise with k, so bisection
     finds it in ceil(log2(events)) passes of O(N W) each.
     """
-    # Tied demands make zero-size steps: any order of ties gives the same
-    # capacities along the path.
-    levels, tails = _sorted_columns(peak, probs, kind="quicksort")
+    levels, tails = _sorted_columns(peak, probs)
     n = peak.shape[1]
     prices = (thetas_arr / tails).ravel()
     # Stable, so each user's events stay in sorted order and its capacity
@@ -430,14 +447,12 @@ def _newton_moves(
     users = None
     for null_space in (True, False):
         if users is None:
-            headroom = np.minimum(capacities, peak).sum(axis=1)
-            margin = slope0 + curvature * headroom
+            margin = slope0 + curvature * np.minimum(capacities, peak).sum(axis=1)
+            grad_right, grad_left, above, at = _one_sided(
+                thetas_arr, peak, probs, margin, capacities
+            )
             short = margin < 0.0
-            saving = probs[short] * margin[short]
-            rows = peak[short]
-            right, at = rows > capacities, rows == capacities
-            grad_right = thetas_arr + saving @ right
-            grad_left = grad_right + saving @ at
+            rows, above, at = peak[short], above[short], at[short]
             kinked = (capacities == 0.0) | at.any(axis=0)
             up = kinked & (grad_right < 0.0)
             down = kinked & (capacities > 0.0) & (grad_left > 0.0)
@@ -446,7 +461,7 @@ def _newton_moves(
                 break
             # From here on, arrays run over these users only.
             up, down, c = up[users], down[users], capacities[users]
-            pattern = right[:, users] | (at[:, users] & down)
+            pattern = above[:, users] | (at[:, users] & down)
             grads = np.where(down, grad_left[users], grad_right[users])
             scaled = np.sqrt(curvature * probs[short])[:, None] * pattern
             sub = rows[:, users]

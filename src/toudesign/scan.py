@@ -51,12 +51,10 @@ class _SpecArrays(NamedTuple):
         )
 
 
-def _sorted_columns(demand: np.ndarray, probs: np.ndarray, kind: str = "stable"):
-    """Every column of demand in ascending order, with the tail masses of
-    its sorted outcomes. The default stable order is the one `respond` and
-    `_sized` use; kind="quicksort" is faster and leaves ties in some fixed
-    order."""
-    order = np.argsort(demand, axis=0, kind=kind)
+def _sorted_columns(demand: np.ndarray, probs: np.ndarray):
+    """Every column of demand in stable ascending order, with the tail
+    masses of its sorted outcomes, as `respond` and `_sized` sort one."""
+    order = np.argsort(demand, axis=0, kind="stable")
     tails = np.cumsum(probs[order][::-1], axis=0)[::-1]
     return np.take_along_axis(demand, order, axis=0), tails
 
