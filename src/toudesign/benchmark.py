@@ -33,12 +33,12 @@ import numpy as np
 from .costs import (
     SocialCostBreakdown,
     SupplyCostParams,
-    social_cost,
+    _social_cost_arrays,
     two_period_supply_cost,
 )
 from .demand import PeriodStructure, ScenarioSet
 from .errors import ConvergenceError, InputError, OrderingViolationError
-from .response import ResponseProfile, StorageSpec
+from .response import ResponseProfile, _SpecArrays
 from .scan import _sorted_columns
 
 ORDERING_TOL = 1e-9
@@ -110,10 +110,6 @@ class StructureReport:
         return not self.violations
 
 
-def _lossless_specs(thetas: Mapping[str, float]) -> dict[str, StorageSpec]:
-    return {e: StorageSpec(theta=t) for e, t in thetas.items()}
-
-
 def _shift_targets(scenarios: ScenarioSet, periods: PeriodStructure) -> np.ndarray:
     """Unconstrained cost-minimizing aggregate charge per outcome."""
     return (
@@ -159,29 +155,27 @@ def _plan_from_capacities(
     supply: SupplyCostParams,
     capacities: np.ndarray,
     iterations: int,
+    residual: float | None = None,
 ) -> SocialPlan:
+    """The plan of the given capacities, costed as lossless, non-degrading
+    storage on inelastic demand. residual is the capacities' optimality
+    residual if the caller has it; it is computed otherwise."""
     targets = _shift_targets(scenarios, periods)
     headroom = np.minimum(capacities[None, :], scenarios.peak).sum(axis=1)
     total_shift = np.clip(targets, 0.0, headroom)
     charges = _greedy_charges(capacities, scenarios.peak, total_shift)
     thetas_arr = np.array([float(thetas[e]) for e in scenarios.entities])
-    residual = _optimality_residual(
-        scenarios, thetas_arr, periods, supply, capacities, headroom
-    )
-    specs = _lossless_specs(thetas)
-    responses = {
-        e: ResponseProfile(
-            capacity=float(capacities[j]),
-            charge=charges[:, j],
-            shifted=np.zeros(scenarios.n_outcomes),
+    if residual is None:
+        residual = _optimality_residual(
+            scenarios, thetas_arr, periods, supply, capacities, headroom
         )
-        for j, e in enumerate(scenarios.entities)
-    }
-    breakdown = social_cost(
-        scenarios, specs, responses, periods, supply, check_feasibility=False
+    ones, zeros = np.ones_like(thetas_arr), np.zeros_like(thetas_arr)
+    lossless = _SpecArrays(thetas_arr, ones, ones, zeros, zeros, zeros + np.nan)
+    breakdown = _social_cost_arrays(
+        scenarios, lossless, capacities, charges, np.zeros_like(charges), periods, supply
     )
     return SocialPlan(
-        capacities={e: float(capacities[j]) for j, e in enumerate(scenarios.entities)},
+        capacities=dict(zip(scenarios.entities, capacities.tolist())),
         charges={e: charges[:, j] for j, e in enumerate(scenarios.entities)},
         social_cost=breakdown,
         iterations=iterations,
@@ -528,10 +522,12 @@ def solve_so(
     updated in place after every step. The sweep ends with exact Newton
     moves on the free and violated kinked users (_newton_moves), which move
     the coupled users that coordinate steps would zig-zag between jointly
-    towards their minimum. The returned plan carries the
-    optimality residual of its final capacities, the limit it met and the
-    number of sweeps. Raises ConvergenceError carrying the best incumbent if
-    the residual is above the limit after max_iterations sweeps.
+    towards their minimum. The returned plan carries the optimality
+    residual of its final capacities (the one the stop test saw), the limit
+    it met and the number of sweeps; its cost is summed on the capacity and
+    charge arrays (_social_cost_arrays), with no per-user spec or profile.
+    Raises ConvergenceError carrying the best incumbent if the residual is
+    above the limit after max_iterations sweeps.
 
     The planner sees only each user's storage cost theta: it sizes lossless,
     non-degrading storage on inelastic demand, whatever the efficiency,
@@ -551,13 +547,14 @@ def solve_so(
     capacities = _one_price_start(peak, probs, thetas_arr, slope0, curvature)
     # One row per user: its demand and its share min(c_i, d_wi) of headroom.
     demand = np.ascontiguousarray(peak.T)
-    sweeps = 0
+    sweeps, residual = 0, None
     for sweeps in range(1, settings.max_iterations + 1):
-        # Summed as _plan_from_capacities sums it, so the plan's residual is
-        # the one this check saw.
+        # Summed as _plan_from_capacities sums it, so the residual it is
+        # handed is the one it would compute.
         total = np.minimum(capacities, peak).sum(axis=1)
         violations = _violations(scenarios, thetas_arr, slope0, curvature, capacities, total)
         if violations.max() <= limit:
+            residual = float(violations.max())
             break
         bound = np.minimum(capacities[:, None], demand)
         for i in np.flatnonzero(violations > 0.0).tolist():
@@ -568,8 +565,10 @@ def solve_so(
             np.minimum(capacities[i], demand[i], out=bound[i])
             np.add(rest, bound[i], out=total)
         capacities = _newton_moves(thetas_arr, peak, probs, slope0, curvature, capacities)
+    # Past max_iterations the capacities have moved since their last check,
+    # so the plan computes their residual itself.
     plan = _plan_from_capacities(
-        scenarios, thetas, periods, supply, capacities, sweeps
+        scenarios, thetas, periods, supply, capacities, sweeps, residual
     )
     plan.residual_limit = limit
     if not plan.optimality_residual <= limit:
@@ -626,12 +625,11 @@ def _validate_structure(
     violations = []
     invested = {}
     exempt = set()
-    support = {e: scenarios.peak_support(e) for e in scenarios.entities}
-    for e in scenarios.entities:
+    lows = dict(zip(scenarios.entities, scenarios.peak.min(axis=0).tolist()))
+    for e, hi in zip(scenarios.entities, scenarios.peak.max(axis=0).tolist()):
         c = capacities[e]
-        lo, hi = support[e]
         invested[e] = c > atol
-        if lo <= atol:
+        if lows[e] <= atol:
             exempt.add(e)
         if c > hi + atol:
             violations.append(f"user {e}: capacity {c} above max peak support {hi}")
@@ -649,7 +647,7 @@ def _validate_structure(
                 )
         for e in scenarios.entities:
             c = capacities[e]
-            lo = support[e][0]
+            lo = lows[e]
             # A boundary class may size anywhere, so only costs below it count.
             below = thetas[e] < boundary if boundary_class else thetas[e] <= boundary
             if below and e not in exempt and c < lo - atol:

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .demand import HourlyLoadTable, PeriodStructure, ScenarioSet
 from .errors import InfeasibleResponseError, InputError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .response import ResponseProfile, StorageSpec
+from .response import ResponseProfile, StorageSpec, _SpecArrays
 
 
 @dataclass(frozen=True)
@@ -110,8 +108,8 @@ def two_period_supply_cost(
 
 def _response_arrays(
     scenarios: ScenarioSet,
-    specs: Mapping[str, "StorageSpec"],
-    responses: Mapping[str, "ResponseProfile"],
+    specs: Mapping[str, StorageSpec],
+    responses: Mapping[str, ResponseProfile],
 ):
     n = scenarios.n_outcomes
     caps = np.zeros(scenarios.n_entities)
@@ -135,17 +133,17 @@ def _response_arrays(
     return caps, charge, shifted
 
 
-def _check_feasible(scenarios, entity_specs, eta_c, loss, caps, charge, shifted):
+def _check_feasible(scenarios, arr, caps, charge, shifted):
     """Raise for the first infeasible cell, entity by entity, then outcome by
     outcome, then in the order of the checks below."""
     scale = max(1.0, float(scenarios.peak.max()), float(caps.max(initial=0.0)))
     tol = 1e-9 * scale
-    inelastic = np.array([spec.e_shift is None for spec in entity_specs])
+    eta_c, loss = arr.eta_c, arr.eta_c * arr.eta_d
     peak = scenarios.peak
     violations = np.stack((
         charge < -tol,
         shifted < -tol,
-        inelastic & (shifted > tol),
+        np.isnan(arr.e_shift) & (shifted > tol),
         shifted > peak + tol,
         eta_c * charge > caps + tol,
         loss * charge > peak - shifted + tol,
@@ -169,36 +167,50 @@ def _check_feasible(scenarios, entity_specs, eta_c, loss, caps, charge, shifted)
 
 def social_cost(
     scenarios: ScenarioSet,
-    specs: Mapping[str, "StorageSpec"],
-    responses: Mapping[str, "ResponseProfile"],
+    specs: Mapping[str, StorageSpec],
+    responses: Mapping[str, ResponseProfile],
     periods: PeriodStructure,
     supply: SupplyCostParams,
     check_feasibility: bool = True,
 ) -> SocialCostBreakdown:
     """Daily social cost of a set of storage responses.
 
+    The profile-level front of `_social_cost_arrays`: it stacks the
+    entities' specs and profiles into arrays and, unless told not to, checks
+    every response for feasibility first.
+    """
+    caps, charge, shifted = _response_arrays(scenarios, specs, responses)
+    arr = _SpecArrays.of([specs[e] for e in scenarios.entities])
+    if check_feasibility:
+        _check_feasible(scenarios, arr, caps, charge, shifted)
+    return _social_cost_arrays(scenarios, arr, caps, charge, shifted, periods, supply)
+
+
+def _social_cost_arrays(
+    scenarios: ScenarioSet,
+    arr: _SpecArrays,
+    caps: np.ndarray,
+    charge: np.ndarray,
+    shifted: np.ndarray,
+    periods: PeriodStructure,
+    supply: SupplyCostParams,
+) -> SocialCostBreakdown:
+    """Daily social cost of entities with the storage specs arr, capacities
+    caps and (outcome x entity) charges and shifts.
+
     Sums the investment cost of installed capacity, the expected degradation
     cost of cycling, the expected inconvenience cost of shifted elastic
     demand and the expected supply cost of the resulting system load. The
     supply cost only depends on charges through their entity sum.
     """
-    caps, charge, shifted = _response_arrays(scenarios, specs, responses)
-    entity_specs = [specs[e] for e in scenarios.entities]
-    thetas, eta_c, eta_d, taus = (
-        np.array([getattr(spec, name) for spec in entity_specs])
-        for name in ("theta", "eta_c", "eta_d", "tau")
-    )
-    losses = eta_c * eta_d
-    if check_feasibility:
-        _check_feasible(scenarios, entity_specs, eta_c, losses, caps, charge, shifted)
-    shift_prices = np.array([spec.e_shift or 0.0 for spec in entity_specs])
+    losses = arr.eta_c * arr.eta_d
     peak_load = (scenarios.peak - shifted - losses * charge).sum(axis=1)
     off_load = (scenarios.offpeak + shifted + charge).sum(axis=1)
     per_outcome = two_period_supply_cost(peak_load, off_load, periods, supply)
     expected_supply = float(scenarios.probs @ per_outcome)
-    investment = float(thetas @ caps)
-    degradation = float(scenarios.probs @ (charge @ (taus * (1.0 + losses))))
-    shift_cost = float(scenarios.probs @ (shifted @ shift_prices))
+    investment = float(arr.theta @ caps)
+    degradation = float(scenarios.probs @ (charge @ (arr.tau * (1.0 + losses))))
+    shift_cost = float(scenarios.probs @ (shifted @ np.nan_to_num(arr.e_shift)))
     return SocialCostBreakdown(investment, degradation, shift_cost, expected_supply)
 
 

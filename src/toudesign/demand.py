@@ -132,10 +132,6 @@ class ScenarioSet:
     def aggregate_offpeak(self) -> np.ndarray:
         return self.offpeak.sum(axis=1)
 
-    def peak_support(self, entity: str) -> tuple[float, float]:
-        col = self.entity_peak(entity)
-        return float(col.min()), float(col.max())
-
     def mean_peak(self, entity: str) -> float:
         return float(self.probs @ self.entity_peak(entity))
 

@@ -7,13 +7,14 @@ thresholds, evaluates the social cost a hair above each one and keeps the
 cheapest, which is exact for discrete demand distributions. The candidates
 and their costs come from the event sweep of `toudesign.scan`, over the
 whole instance at once; the chosen tariff's responses come from its array
-form of `respond`, which stays the scalar reference. `social_cost_curve`
-here re-sizes every entity at every price difference and stays the
-independent reference behind the grid checks and the lambda map. Each
-entity's whole response model, elastic share included, comes from its
-`StorageSpec`. Pricing can be driven by per-type aggregates (the realistic
-information set) or by per-user data; in the type-based scheme the reported
-cost re-evaluates each individual user's response to the chosen tariff.
+form of `respond`, which stays the scalar reference, and are costed on
+those arrays. `social_cost_curve` here re-sizes every entity at every price
+difference and stays the independent reference behind the grid checks and
+the lambda map. Each entity's whole response model, elastic share
+included, comes from its `StorageSpec`. Pricing can be driven by per-type
+aggregates (the realistic information set) or by per-user data; in the
+type-based scheme the reported cost re-evaluates each individual user's
+response to the chosen tariff.
 """
 
 from __future__ import annotations
@@ -23,7 +24,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .costs import SocialCostBreakdown, SupplyCostParams, social_cost, two_period_supply_cost
+from .costs import (
+    SocialCostBreakdown,
+    SupplyCostParams,
+    _social_cost_arrays,
+    two_period_supply_cost,
+)
 from .demand import PeriodStructure, ScenarioSet
 from .errors import InputError
 from .response import (
@@ -32,7 +38,7 @@ from .response import (
     _steps_bought,
     equivalent_transform,
 )
-from .scan import _CURVE_BLOCK, _respond_all, _StepEvents
+from .scan import _CURVE_BLOCK, _best_responses, _profiles, _StepEvents
 
 DEFAULT_EPSILON = 1e-6
 
@@ -170,15 +176,13 @@ def _search(
             best = (p_o, p_delta, cost, *counts)
     p_o, p_delta, scan_cost, n_candidates, n_thresholds, eps = best
     price = TouPrice(p_o + p_delta, p_o)
-    responses = _respond_all(price, user_scenarios, user_specs)
-    sc = social_cost(
-        user_scenarios, user_specs, responses, periods, supply, check_feasibility=False
-    )
+    arr, caps, charge, shifted = _best_responses(price, user_scenarios, user_specs)
+    sc = _social_cost_arrays(user_scenarios, arr, caps, charge, shifted, periods, supply)
     return PricingResult(
         best_price=price,
         scheme=scheme,
         social_cost=sc,
-        responses=responses,
+        responses=_profiles(user_scenarios.entities, caps, charge, shifted),
         trace=trace,
         scan_cost=scan_cost,
         n_candidates=n_candidates,

@@ -86,6 +86,28 @@ class ResponseProfile:
         object.__setattr__(self, "shifted", shifted)
 
 
+class _SpecArrays(NamedTuple):
+    """The storage specs of many entities as arrays, one entry per entity.
+
+    `equivalent_transform` maps them elementwise with the arithmetic it
+    applies to one spec; e_shift is NaN where an entity cannot shift.
+    """
+
+    theta: np.ndarray
+    eta_c: np.ndarray
+    eta_d: np.ndarray
+    tau: np.ndarray
+    elastic_fraction: np.ndarray
+    e_shift: np.ndarray
+
+    @classmethod
+    def of(cls, specs) -> "_SpecArrays":
+        return cls(
+            *(np.array([getattr(s, name) for s in specs]) for name in cls._fields[:5]),
+            np.array([np.nan if s.e_shift is None else s.e_shift for s in specs]),
+        )
+
+
 class EquivalentTransform(NamedTuple):
     """Reparametrization mapping a lossy storage problem onto the lossless one.
 

@@ -18,37 +18,15 @@ scalar path bit for bit; only the order of the cost summation differs.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
 from .costs import two_period_supply_cost
 from .demand import ScenarioSet
-from .response import ResponseProfile, StorageSpec, equivalent_transform
+from .response import ResponseProfile, StorageSpec, _SpecArrays, equivalent_transform
 
 _CURVE_BLOCK = 1024  # rows per block: price differences of social_cost_curve, sweep events
-
-
-class _SpecArrays(NamedTuple):
-    """The storage specs of many entities as arrays, one entry per entity.
-
-    `equivalent_transform` maps them elementwise with the arithmetic it
-    applies to one spec; e_shift is NaN where an entity cannot shift.
-    """
-
-    theta: np.ndarray
-    eta_c: np.ndarray
-    eta_d: np.ndarray
-    tau: np.ndarray
-    elastic_fraction: np.ndarray
-    e_shift: np.ndarray
-
-    @classmethod
-    def of(cls, specs) -> "_SpecArrays":
-        return cls(
-            *(np.array([getattr(s, name) for s in specs]) for name in cls._fields[:5]),
-            np.array([np.nan if s.e_shift is None else s.e_shift for s in specs]),
-        )
 
 
 def _sorted_columns(demand: np.ndarray, probs: np.ndarray):
@@ -193,14 +171,12 @@ class _StepEvents:
         return out
 
 
-def _respond_all(
-    price, scenarios: ScenarioSet, specs: Mapping[str, StorageSpec]
-) -> dict[str, ResponseProfile]:
+def _best_responses(price, scenarios: ScenarioSet, specs: Mapping[str, StorageSpec]):
     """Every entity's `respond` to the tariff (a `TouPrice`) in one array
-    pass, with the same elementwise arithmetic, so each profile is
-    bit-identical to `respond`'s."""
-    entities = scenarios.entities
-    arr = _SpecArrays.of([specs[e] for e in entities])
+    pass, with the same elementwise arithmetic: the entities' specs as
+    `_SpecArrays`, their capacities, and their (outcome x entity) charges
+    and shifts."""
+    arr = _SpecArrays.of([specs[e] for e in scenarios.entities])
     peak = scenarios.peak
     shifted = np.where(price.p_delta > arr.e_shift, arr.elastic_fraction * peak, 0.0)
     tr = equivalent_transform(arr, price.p_offpeak, price.p_delta)
@@ -209,10 +185,22 @@ def _respond_all(
     # thresholds strictly below, as `_steps_bought` finds them in each
     # nondecreasing column
     bought = (tr.theta / tails < tr.p_delta).sum(axis=0)
-    cap_dag = np.where(bought > 0, steps[bought - 1, np.arange(len(entities))], 0.0)
-    charge = np.minimum(cap_dag, demand).T.copy()
-    shifted = shifted.T.copy()
-    capacity = (arr.eta_c * cap_dag).tolist()
+    cap_dag = np.where(bought > 0, steps[bought - 1, np.arange(peak.shape[1])], 0.0)
+    return arr, arr.eta_c * cap_dag, np.minimum(cap_dag, demand), shifted
+
+
+def _profiles(entities, capacity, charge, shifted) -> dict[str, ResponseProfile]:
+    """One `ResponseProfile` per entity from `_best_responses`' arrays."""
+    capacity, charge, shifted = capacity.tolist(), charge.T.copy(), shifted.T.copy()
     return {
         e: ResponseProfile(capacity[j], charge[j], shifted[j]) for j, e in enumerate(entities)
     }
+
+
+def _respond_all(
+    price, scenarios: ScenarioSet, specs: Mapping[str, StorageSpec]
+) -> dict[str, ResponseProfile]:
+    """Every entity's `respond` to the tariff, each profile bit-identical to
+    `respond`'s."""
+    _, *arrays = _best_responses(price, scenarios, specs)
+    return _profiles(scenarios.entities, *arrays)

@@ -5,21 +5,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from toudesign import costs as costs_module
 from toudesign import (
     ConvergenceError,
     InputError,
     OrderingViolationError,
     PeriodStructure,
+    ResponseProfile,
     ScenarioSet,
     SocialPlan,
     SolverSettings,
     StorageSpec,
     SupplyCostParams,
+    aggregate_by_type,
     brute_force_so,
     compute_ratios,
     no_storage_cost,
     optimize_price_difference,
+    optimize_prices_extended,
     respond,
+    social_cost,
     so_zero_cost,
     solve_so,
     tightness_instance,
@@ -197,9 +202,9 @@ def residual_limit(scen, thetas, supply, periods=HALF_DAY, tolerance=SolverSetti
     return tolerance * (max(thetas.values()) + scen.probs @ np.abs(slope0))
 
 
-def test_every_plan_is_certified_on_the_criterion_5_instances():
-    # The instances of test_acceptance.py's criterion 5, drawn in its order.
-    supply = SupplyCostParams(alpha=1.0)
+def criterion_5_instances():
+    """The instances of test_acceptance.py's criterion 5, drawn in its order,
+    each with its storage costs and with costs of 1e-10."""
     rng = np.random.default_rng(1004)
     for _ in range(100):
         n_users = int(rng.integers(1, 3))
@@ -211,9 +216,15 @@ def test_every_plan_is_certified_on_the_criterion_5_instances():
         scen = ScenarioSet(tuple(f"u{i}" for i in range(n_users)), probs, peak, offpeak)
         costs = np.sort(rng.uniform(0.02, 2.0, n_users))
         for thetas in (thetas_for(scen, costs), {e: 1e-10 for e in scen.entities}):
-            plan = solve_so(scen, thetas, HALF_DAY, supply)
-            assert plan.residual_limit == residual_limit(scen, thetas, supply)
-            assert plan.optimality_residual <= plan.residual_limit
+            yield scen, thetas
+
+
+def test_every_plan_is_certified_on_the_criterion_5_instances():
+    supply = SupplyCostParams(alpha=1.0)
+    for scen, thetas in criterion_5_instances():
+        plan = solve_so(scen, thetas, HALF_DAY, supply)
+        assert plan.residual_limit == residual_limit(scen, thetas, supply)
+        assert plan.optimality_residual <= plan.residual_limit
 
 
 # sc_so of perfbench's 256-user equiprobable instance (seed 7) under the
@@ -274,6 +285,60 @@ def test_every_plan_is_certified_on_the_convergence_battery():
             continue
         assert plan.optimality_residual <= plan.residual_limit, trial
     assert uncertified == []
+
+
+def assert_plan_costed_as_profiles(scen, thetas, periods, supply):
+    """The plan's breakdown equals the profile front's over lossless specs
+    and inelastic profiles, and solve_so hands its plan the residual that
+    _plan_from_capacities computes for the same capacities."""
+    plan = solve_so(scen, thetas, periods, supply)
+    caps = np.array([plan.capacities[e] for e in scen.entities])
+    again = _plan_from_capacities(scen, thetas, periods, supply, caps, plan.iterations)
+    assert again.optimality_residual == plan.optimality_residual
+    specs = {e: StorageSpec(theta=thetas[e]) for e in scen.entities}
+    zeros = np.zeros(scen.n_outcomes)
+    responses = {
+        e: ResponseProfile(plan.capacities[e], again.charges[e], zeros) for e in scen.entities
+    }
+    front = social_cost(scen, specs, responses, periods, supply, check_feasibility=False)
+    assert again.social_cost == front
+    assert plan.social_cost == front
+
+
+def test_plan_is_costed_as_its_profiles_are(monkeypatch):
+    supply = SupplyCostParams(alpha=1.0)
+    for scen, thetas in criterion_5_instances():
+        assert_plan_costed_as_profiles(scen, thetas, HALF_DAY, supply)
+    for trial, scen, thetas, supply in convergence_battery():
+        if trial == 200:
+            break
+        assert_plan_costed_as_profiles(scen, thetas, HALF_DAY, supply)
+    assert_plan_costed_as_profiles(*perfbench_instance(monkeypatch, 7, 256, 30))
+
+
+def test_solves_never_cost_through_the_profile_front(monkeypatch, quadratic_supply):
+    # Per-entity specs and profiles stay off the solve paths: the planner and
+    # both tariff searches cost on their own arrays.
+    front = costs_module.social_cost
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve called the profile-level social_cost")
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "toudesign" and getattr(module, "social_cost", None) is front:
+            monkeypatch.setattr(module, "social_cost", refuse)
+    rng = np.random.default_rng(23)
+    users = random_scenarios(rng, 6, 5)
+    grouping = {e: f"t{j % 2}" for j, e in enumerate(users.entities)}
+    type_specs = {"t0": StorageSpec(0.3), "t1": StorageSpec(1.2, eta_c=0.9, tau=0.1)}
+    user_specs = {e: type_specs[grouping[e]] for e in users.entities}
+    types = aggregate_by_type(users, grouping)
+    plan = solve_so(users, {e: s.theta for e, s in user_specs.items()}, HALF_DAY, quadratic_supply)
+    assert plan.social_cost.total > 0.0
+    for args in ((types, type_specs, users, grouping), (users, user_specs, None, None)):
+        plain = optimize_price_difference(*args, HALF_DAY, quadratic_supply)
+        extended = optimize_prices_extended(*args, HALF_DAY, quadratic_supply, (0.0, 1.0), 2)
+        assert plain.social_cost.total > 0.0 and extended.social_cost.total > 0.0
 
 
 def test_planner_is_deterministic_bit_for_bit(quadratic_supply):
@@ -382,6 +447,40 @@ def test_validator_flags_capacity_above_support():
     )
     report = validate_structure_so(bad, {"a": 0.5}, scen)
     assert not report.ok
+
+
+def test_validator_messages_and_their_order():
+    # "a" has zero lower support, so it is exempt where "e", at the same
+    # cost level without an investor, is not; "b" holds capacity above its
+    # upper support; "c" and "d" are cheaper than the investor "b".
+    peak = np.array([[0.0, 4.0, 3.0, 2.0, 1.0], [5.0, 6.0, 7.0, 8.0, 9.0]])
+    scen = ScenarioSet(tuple("abcde"), np.array([0.5, 0.5]), peak, np.zeros_like(peak))
+    thetas = {"a": 0.3, "b": 0.5, "c": 0.2, "d": 0.2, "e": 0.3}
+    capacities = {"a": 0.0, "b": 9.0, "c": 1.0, "d": 0.0, "e": 0.0}
+    plan = SocialPlan(
+        capacities=capacities,
+        charges={e: np.zeros(2) for e in scen.entities},
+        social_cost=no_storage_cost(scen, HALF_DAY, SupplyCostParams(1.0)),
+    )
+    above = "user b: capacity 9.0 above max peak support 6.0"
+    no_investor = "cost level 0.3 below invested level 0.5 has no investor (users ['e'])"
+    assert validate_structure_so(plan, thetas, scen).violations == [
+        above,
+        no_investor,
+        "user c: non-boundary investor capacity 1.0 below min peak support 3.0",
+        "user d: non-boundary investor capacity 0.0 below min peak support 2.0",
+        "user e: non-boundary investor capacity 0.0 below min peak support 1.0",
+    ]
+    responses = {
+        e: ResponseProfile(c, np.zeros(2), np.zeros(2)) for e, c in capacities.items()
+    }
+    assert validate_structure_pricing(responses, thetas, scen).violations == [
+        above,
+        no_investor,
+        "user c: invested cost level 0.2 but capacity 1.0 below min peak support 3.0",
+        "user d: invested cost level 0.2 but capacity 0.0 below min peak support 2.0",
+        "user e: invested cost level 0.3 but capacity 0.0 below min peak support 1.0",
+    ]
 
 
 def test_validators_pass_on_solver_outputs(quadratic_supply):

@@ -680,6 +680,44 @@ def test_type_tariff_realization_equals_respond_bit_for_bit():
     _assert_profiles_equal_respond(users, user_specs, result.best_price, result.responses)
 
 
+def _search_case(kind, rng):
+    """Eight users with a strong peak, three types and the off-peak grid
+    (lo, hi, steps) for each kind of spec."""
+    users = random_scenarios(rng, 8, 6, peak_range=(2.0, 12.0), off_range=(0.0, 2.0))
+    if kind == "dirichlet":
+        users = ScenarioSet(users.entities, rng.dirichlet(np.ones(6)), users.peak, users.offpeak)
+    grouping = {e: f"t{j % 3}" for j, e in enumerate(users.entities)}
+    extra, grid = {
+        "lossy": ({"eta_c": 0.8, "eta_d": 0.8}, (0.0, 2.0, 3)),
+        "degrading": ({"tau": 4.0}, (0.0, 0.0, 1)),
+        "elastic": ({"elastic_fraction": 0.3}, (0.0, 0.0, 1)),
+    }.get(kind, ({}, (0.0, 0.0, 1)))
+    type_specs = random_specs(rng, ("t0", "t1", "t2"), theta_range=(0.2, 2.0), **extra)
+    if kind == "elastic":
+        type_specs = {t: replace(s, e_shift=0.5 * s.theta) for t, s in type_specs.items()}
+    return users, type_specs, grouping, grid
+
+
+@pytest.mark.parametrize("scheme", ["pt", "pi"])
+@pytest.mark.parametrize("kind", ["lossless", "lossy", "degrading", "elastic", "dirichlet"])
+def test_chosen_tariff_is_costed_as_its_profiles_are(kind, scheme):
+    # The search costs the chosen tariff on its response arrays; the profile
+    # front must read the same breakdown from the profiles it reports.
+    users, type_specs, grouping, grid = _search_case(kind, np.random.default_rng(131))
+    user_specs = {e: type_specs[grouping[e]] for e in users.entities}
+    if scheme == "pt":
+        args = (aggregate_by_type(users, grouping), type_specs, users, grouping)
+    else:
+        args = (users, user_specs, None, None)
+    result = optimize_prices_extended(*args, HALF_DAY, SUPPLY, grid[:2], grid[2])
+    assert result.scheme == scheme
+    assert any(r.capacity > 0.0 for r in result.responses.values())
+    again = social_cost(
+        users, user_specs, result.responses, HALF_DAY, SUPPLY, check_feasibility=False
+    )
+    assert result.social_cost == again
+
+
 def test_full_elastic_fraction_keeps_inelastic_thresholds(quadratic_supply):
     # Users without a shift cost never shift and are sized on their full
     # peak demand. At elastic fraction 1 the residual peak is all zeros, and
