@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -411,7 +412,10 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path])
     return 3 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing keeps no
+    state between calls, so every `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="toudesign",
         description="Design two-period time-of-use tariffs that anticipate storage investment.",

@@ -35,6 +35,7 @@ from .errors import InputError
 from .response import (
     ResponseProfile,
     StorageSpec,
+    _SpecArrays,
     _steps_bought,
     equivalent_transform,
 )
@@ -160,13 +161,16 @@ def _search(
     if p_o_steps < 1:
         raise InputError("p_o_steps must be >= 1")
     if user_scenarios is None:
-        scheme, user_scenarios, user_specs = "pi", pricing_scenarios, pricing_specs
+        scheme, user_scenarios = "pi", pricing_scenarios
     elif grouping is None:
         raise InputError("a grouping is required with user scenarios")
     else:
         scheme = "pt"
         user_specs = user_specs_from_grouping(pricing_specs, user_scenarios, grouping)
+        user_arr = _SpecArrays.of(user_specs.values())
     events = _StepEvents(pricing_scenarios, pricing_specs)
+    if scheme == "pi":
+        user_arr = events.arr  # the users' own specs, in their order
     best = None
     trace: list[tuple[float, float, float]] = []
     for p_o in np.linspace(lo, hi, int(p_o_steps)).tolist():
@@ -176,8 +180,8 @@ def _search(
             best = (p_o, p_delta, cost, *counts)
     p_o, p_delta, scan_cost, n_candidates, n_thresholds, eps = best
     price = TouPrice(p_o + p_delta, p_o)
-    arr, caps, charge, shifted = _best_responses(price, user_scenarios, user_specs)
-    sc = _social_cost_arrays(user_scenarios, arr, caps, charge, shifted, periods, supply)
+    caps, charge, shifted = _best_responses(price, user_scenarios, user_arr)
+    sc = _social_cost_arrays(user_scenarios, user_arr, caps, charge, shifted, periods, supply)
     return PricingResult(
         best_price=price,
         scheme=scheme,

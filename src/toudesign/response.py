@@ -58,12 +58,26 @@ class StorageSpec:
             raise InputError("elastic_fraction must be in [0, 1]")
 
 
+def _check_responses(capacity, charge: np.ndarray, shifted: np.ndarray) -> None:
+    """The checks of a `ResponseProfile`, on one profile (a capacity and 1-d
+    charge and shift arrays) or on a batch (a capacity vector and (entity x
+    outcome) charge and shift matrices), with the same messages."""
+    if charge.shape != shifted.shape or charge.ndim != np.ndim(capacity) + 1:
+        raise InputError("charge and shifted must be 1-d arrays of equal length")
+    finite = np.isfinite(charge).all() and np.isfinite(shifted).all()
+    if not (finite and np.isfinite(capacity).all()):
+        raise InputError("capacity, charge and shifted must be finite")
+    if np.any(capacity < 0):
+        raise InputError("capacity must be >= 0")
+
+
 @dataclass(frozen=True)
 class ResponseProfile:
     """Result of one entity's storage decision under a tariff.
 
     capacity is the installed MWh, charge the purchased charging energy per
-    outcome, shifted the moved elastic demand per outcome; all are finite.
+    outcome, shifted the moved elastic demand per outcome; all are finite,
+    and charge and shifted are read-only.
     """
 
     capacity: float
@@ -73,17 +87,29 @@ class ResponseProfile:
     def __post_init__(self):
         charge = np.asarray(self.charge, dtype=float)
         shifted = np.asarray(self.shifted, dtype=float)
-        if charge.shape != shifted.shape or charge.ndim != 1:
-            raise InputError("charge and shifted must be 1-d arrays of equal length")
-        finite = np.isfinite(charge).all() and np.isfinite(shifted).all()
-        if not (finite and np.isfinite(self.capacity)):
-            raise InputError("capacity, charge and shifted must be finite")
-        if self.capacity < 0:
-            raise InputError("capacity must be >= 0")
+        _check_responses(self.capacity, charge, shifted)
         charge.setflags(write=False)
         shifted.setflags(write=False)
         object.__setattr__(self, "charge", charge)
         object.__setattr__(self, "shifted", shifted)
+
+    @classmethod
+    def _batch(cls, entities, capacity, charge, shifted) -> dict[str, "ResponseProfile"]:
+        """One profile per entity from a capacity vector and (entity x
+        outcome) charge and shift matrices, checked once for the batch. Each
+        profile holds read-only row views of one C-ordered copy of each
+        matrix, so it is not checked again."""
+        capacity = np.asarray(capacity, dtype=float)
+        charge = np.array(charge, dtype=float, order="C")
+        shifted = np.array(shifted, dtype=float, order="C")
+        _check_responses(capacity, charge, shifted)
+        charge.setflags(write=False)
+        shifted.setflags(write=False)
+        profiles = {}
+        for e, cap, c, q in zip(entities, capacity.tolist(), charge, shifted):
+            profile = profiles[e] = object.__new__(cls)
+            profile.__dict__.update(capacity=cap, charge=c, shifted=q)
+        return profiles
 
 
 class _SpecArrays(NamedTuple):
@@ -102,10 +128,13 @@ class _SpecArrays(NamedTuple):
 
     @classmethod
     def of(cls, specs) -> "_SpecArrays":
-        return cls(
-            *(np.array([getattr(s, name) for s in specs]) for name in cls._fields[:5]),
-            np.array([np.nan if s.e_shift is None else s.e_shift for s in specs]),
-        )
+        """One float64 vector per field, from one pass over the specs."""
+        rows = [
+            (s.theta, s.eta_c, s.eta_d, s.tau, s.elastic_fraction,
+             np.nan if s.e_shift is None else s.e_shift)
+            for s in specs
+        ]
+        return cls(*np.array(rows, dtype=float).T.copy())
 
 
 class EquivalentTransform(NamedTuple):

@@ -171,12 +171,11 @@ class _StepEvents:
         return out
 
 
-def _best_responses(price, scenarios: ScenarioSet, specs: Mapping[str, StorageSpec]):
+def _best_responses(price, scenarios: ScenarioSet, arr: _SpecArrays):
     """Every entity's `respond` to the tariff (a `TouPrice`) in one array
-    pass, with the same elementwise arithmetic: the entities' specs as
-    `_SpecArrays`, their capacities, and their (outcome x entity) charges
+    pass, with the same elementwise arithmetic, given the entities' specs as
+    `_SpecArrays`: their capacities, and their (outcome x entity) charges
     and shifts."""
-    arr = _SpecArrays.of([specs[e] for e in scenarios.entities])
     peak = scenarios.peak
     shifted = np.where(price.p_delta > arr.e_shift, arr.elastic_fraction * peak, 0.0)
     tr = equivalent_transform(arr, price.p_offpeak, price.p_delta)
@@ -186,15 +185,12 @@ def _best_responses(price, scenarios: ScenarioSet, specs: Mapping[str, StorageSp
     # nondecreasing column
     bought = (tr.theta / tails < tr.p_delta).sum(axis=0)
     cap_dag = np.where(bought > 0, steps[bought - 1, np.arange(peak.shape[1])], 0.0)
-    return arr, arr.eta_c * cap_dag, np.minimum(cap_dag, demand), shifted
+    return arr.eta_c * cap_dag, np.minimum(cap_dag, demand), shifted
 
 
 def _profiles(entities, capacity, charge, shifted) -> dict[str, ResponseProfile]:
     """One `ResponseProfile` per entity from `_best_responses`' arrays."""
-    capacity, charge, shifted = capacity.tolist(), charge.T.copy(), shifted.T.copy()
-    return {
-        e: ResponseProfile(capacity[j], charge[j], shifted[j]) for j, e in enumerate(entities)
-    }
+    return ResponseProfile._batch(entities, capacity, charge.T, shifted.T)
 
 
 def _respond_all(
@@ -202,5 +198,5 @@ def _respond_all(
 ) -> dict[str, ResponseProfile]:
     """Every entity's `respond` to the tariff, each profile bit-identical to
     `respond`'s."""
-    _, *arrays = _best_responses(price, scenarios, specs)
-    return _profiles(scenarios.entities, *arrays)
+    arr = _SpecArrays.of([specs[e] for e in scenarios.entities])
+    return _profiles(scenarios.entities, *_best_responses(price, scenarios, arr))

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 from dataclasses import replace
@@ -7,7 +8,7 @@ import pytest
 import yaml
 
 from toudesign import PeriodStructure
-from toudesign.cli import main
+from toudesign.cli import build_parser, main
 from toudesign.errors import ConvergenceError, InputError, OrderingViolationError
 
 from conftest import hourly_loop_oracle, make_sample_loads
@@ -314,6 +315,35 @@ def test_verify_command_passes(tmp_path):
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "verify_report.json").read_text())
     assert all(entry["ok"] for entry in report.values())
+
+
+def test_commands_share_one_parser_and_parse_only_their_own_arguments(tmp_path, monkeypatch):
+    parser = build_parser()
+    assert build_parser() is parser
+    parsed = []
+    parse_args = parser.parse_args
+
+    def spy(argv):
+        parsed.append(vars(parse_args(argv)))
+        return argparse.Namespace(**parsed[-1])
+
+    monkeypatch.setattr(parser, "parse_args", spy)
+    cfg = write_config(tmp_path, {"sweeps": {"p_delta": [0.0, 1.0], "theta_bar": [0.5, 2.0]}})
+    common = {"config": cfg, "seed": None}
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 0
+    argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"), "--axis", "lambda"]
+    assert main(argv) == 0
+    assert parsed == [
+        {"command": "verify", "out": tmp_path / "v", **common},
+        {"command": "sweep", "out": tmp_path / "s", "axis": "lambda", **common},
+    ]
+    for out, command, name in (
+        ("v", "verify", "verify_report.json"),
+        ("s", "sweep:lambda", "sweep_lambda.csv"),
+    ):
+        meta = json.loads((tmp_path / out / "run_meta.json").read_text())
+        assert meta["command"] == command
+        assert meta["outputs"] == [str(tmp_path / out / name)]
 
 
 def test_verify_reports_a_failing_oracle(tmp_path, monkeypatch):

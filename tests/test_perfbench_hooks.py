@@ -30,7 +30,7 @@ def _program_modules():
     return {m: mod for m, mod in sys.modules.items() if m == "toudesign" or m.startswith("toudesign.")}
 
 
-def test_every_workload_runs_correctly_at_toy_size(monkeypatch):
+def _run_every_workload_at_toy_size(monkeypatch, trace):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     # The harness re-imports the program for every round; put back the copy
@@ -41,12 +41,26 @@ def test_every_workload_runs_correctly_at_toy_size(monkeypatch):
         from workloads import WORKLOADS
 
         for name, workload in WORKLOADS.items():
-            record, details = harness.run(name, 7, 0.0, False, workload.toy, PERFBENCH.parent)
+            record, details = harness.run(name, 7, 0.0, trace, workload.toy, PERFBENCH.parent)
             assert record["correct"], (name, details.problems)
             assert record["failed"] == 0 and record["attempted"] > 0, (name, record)
+            if trace:
+                metrics = record["metrics"]
+                for counter in ("response.respond_calls", "costs.social_cost_calls"):
+                    assert metrics[counter]["value"] == 0, (name, counter)
     finally:
         for m in _program_modules():
             del sys.modules[m]
         sys.modules.update(program)
         for name in ("harness", "inputs", "tracer", "workloads"):
             sys.modules.pop(name, None)
+
+
+def test_every_workload_runs_correctly_at_toy_size(monkeypatch):
+    _run_every_workload_at_toy_size(monkeypatch, False)
+
+
+def test_every_workload_runs_correctly_at_toy_size_when_traced(monkeypatch):
+    # The tracer finds each target's module in sys.modules, so a traced module
+    # that `import toudesign` does not load fails only traced runs.
+    _run_every_workload_at_toy_size(monkeypatch, True)

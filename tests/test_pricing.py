@@ -19,10 +19,13 @@ from toudesign import (
     social_cost,
     social_cost_curve,
     threshold_set_extended,
+    validate_structure_pricing,
 )
 
 from toudesign.oracles import grid_check
-from toudesign.pricing import _CURVE_BLOCK
+from toudesign import pricing as pricing_module
+from toudesign.pricing import _CURVE_BLOCK, user_specs_from_grouping
+from toudesign.response import ResponseProfile, _SpecArrays
 from toudesign.scan import _respond_all, _StepEvents
 
 from conftest import HALF_DAY, random_scenarios, random_specs
@@ -736,3 +739,66 @@ def test_full_elastic_fraction_keeps_inelastic_thresholds(quadratic_supply):
         grid = np.linspace(0.0, hi, 10_000)
         assert grid_check(result, grid, scen, specs, HALF_DAY, quadratic_supply) is None
 
+
+
+def _search_args(kind, scheme):
+    """A `_search_case` as the users, their specs and the off-peak grid, and
+    the arguments a search of the scheme takes before its periods."""
+    users, type_specs, grouping, grid = _search_case(kind, np.random.default_rng(131))
+    user_specs = user_specs_from_grouping(type_specs, users, grouping)
+    if scheme == "pt":
+        args = (aggregate_by_type(users, grouping), type_specs, users, grouping)
+    else:
+        args = (users, user_specs, None, None)
+    return users, user_specs, grid, args
+
+
+@pytest.mark.parametrize("scheme", ["pt", "pi"])
+@pytest.mark.parametrize("kind", ["lossless", "lossy", "elastic"])
+def test_searches_build_no_profile_one_at_a_time(monkeypatch, kind, scheme):
+    # The chosen tariff's profiles come from one batch, checked once; no
+    # profile is built, and checked, on its own.
+    checks = []
+    post_init = ResponseProfile.__post_init__
+
+    def counted(self):
+        checks.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ResponseProfile, "__post_init__", counted)
+    users, user_specs, grid, args = _search_args(kind, scheme)
+    plain = optimize_price_difference(*args, HALF_DAY, SUPPLY)
+    extended = optimize_prices_extended(*args, HALF_DAY, SUPPLY, grid[:2], grid[2])
+    assert checks == []
+    # The structure rule bounds capacity by the full peak support, but an
+    # elastic user sizes on its residual demand, below that support.
+    if kind != "elastic":
+        thetas = {e: s.theta for e, s in user_specs.items()}
+        for result in (plain, extended):
+            assert validate_structure_pricing(result.responses, thetas, users).ok
+    respond(user_specs["u0"], extended.best_price, users.probs, users.peak[:, 0])
+    assert len(checks) == 1
+
+
+@pytest.mark.parametrize("scheme", ["pt", "pi"])
+@pytest.mark.parametrize("kind", ["lossless", "lossy", "degrading", "elastic"])
+def test_search_realizes_users_on_the_specs_it_scans(monkeypatch, kind, scheme):
+    # pi realizes the users on the event sweep's own spec arrays; pt on the
+    # arrays of the users' specs as their grouping assigns them.
+    seen, sweeps = [], []
+    realize = pricing_module._best_responses
+
+    def spy(price, scenarios, arr):
+        seen.append(arr)
+        return realize(price, scenarios, arr)
+
+    monkeypatch.setattr(pricing_module, "_best_responses", spy)
+    monkeypatch.setattr(
+        pricing_module, "_StepEvents", lambda *a: sweeps.append(_StepEvents(*a)) or sweeps[-1]
+    )
+    users, user_specs, grid, args = _search_args(kind, scheme)
+    optimize_prices_extended(*args, HALF_DAY, SUPPLY, grid[:2], grid[2])
+    assert len(seen) == len(sweeps) == 1
+    assert (seen[0] is sweeps[0].arr) == (scheme == "pi")
+    for field, got, want in zip(_SpecArrays._fields, seen[0], _SpecArrays.of(user_specs.values())):
+        assert np.array_equal(got, want, equal_nan=True), field

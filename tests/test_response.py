@@ -14,6 +14,7 @@ from toudesign import (
     threshold_set_extended,
 )
 from toudesign.oracles import newsvendor_cost, newsvendor_enumeration
+from toudesign.response import ResponseProfile, _SpecArrays
 
 
 @st.composite
@@ -317,3 +318,78 @@ def test_respond_zero_elastic_fraction_identical_to_plain():
     plain = respond(StorageSpec(theta=0.8), TouPrice(2.0, 0.0), probs, peak)
     assert with_zero.capacity == plain.capacity
     np.testing.assert_array_equal(with_zero.charge, plain.charge)
+
+
+NOT_FINITE = "capacity, charge and shifted must be finite"
+NOT_1D = "charge and shifted must be 1-d arrays of equal length"
+
+
+@pytest.mark.parametrize(
+    "capacity, charge, shifted, message",
+    [
+        (1.0, [0.5, np.nan], [0.0, 0.0], NOT_FINITE),
+        (1.0, [0.5, np.inf], [0.0, 0.0], NOT_FINITE),
+        (1.0, [0.5, 0.5], [np.nan, 0.0], NOT_FINITE),
+        (1.0, [0.5, 0.5], [0.0, -np.inf], NOT_FINITE),
+        (np.nan, [0.5, 0.5], [0.0, 0.0], NOT_FINITE),
+        (np.inf, [0.5, 0.5], [0.0, 0.0], NOT_FINITE),
+        (-1.0, [0.5, 0.5], [0.0, 0.0], "capacity must be >= 0"),
+        (1.0, [0.5, 0.5], [0.0, 0.0, 0.0], NOT_1D),
+        (1.0, [[0.5, 0.5]], [[0.0, 0.0]], NOT_1D),
+    ],
+)
+def test_response_profile_checks_one_profile_and_a_batch_alike(capacity, charge, shifted, message):
+    charge, shifted = np.array(charge), np.array(shifted)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        ResponseProfile(capacity, charge, shifted)
+    # the same profile as the one bad row of a batch of three
+    with pytest.raises(InputError, match=f"^{message}$"):
+        ResponseProfile._batch(
+            ("a", "b", "c"),
+            np.array([1.0, capacity, 1.0]),
+            np.stack((np.zeros_like(charge), charge, np.ones_like(charge))),
+            np.stack((np.zeros_like(shifted), shifted, np.zeros_like(shifted))),
+        )
+
+
+def test_response_profiles_come_back_read_only_with_contiguous_rows():
+    single = ResponseProfile(1.5, [0.5, 1.0, 0.0], np.zeros(3))
+    # an (outcome x entity) matrix seen by entity, as the array pass hands it over
+    charge = np.arange(6.0).reshape(3, 2)
+    batch = ResponseProfile._batch(("a", "b"), np.array([2.0, 5.0]), charge.T, np.zeros((2, 3)))
+    for profile in (single, *batch.values()):
+        for values in (profile.charge, profile.shifted):
+            assert values.dtype == np.float64 and values.ndim == 1
+            assert not values.flags.writeable and values.flags.c_contiguous
+    assert [type(p.capacity) for p in batch.values()] == [float, float]
+    charge[:] = -1.0  # the batch holds its own copy
+    np.testing.assert_array_equal(batch["b"].charge, [1.0, 3.0, 5.0])
+    assert (batch["a"].capacity, batch["b"].capacity) == (2.0, 5.0)
+
+
+def _spec_arrays_six_passes(specs):
+    """`_SpecArrays.of` as first written: one pass over the specs per field."""
+    fields = ("theta", "eta_c", "eta_d", "tau", "elastic_fraction")
+    return (
+        *(np.array([getattr(s, name) for s in specs]) for name in fields),
+        np.array([np.nan if s.e_shift is None else s.e_shift for s in specs]),
+    )
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        [StorageSpec(0.4), StorageSpec(1.3)],
+        [StorageSpec(0.4, eta_c=0.9, eta_d=0.8), StorageSpec(1.3, eta_c=0.8, eta_d=0.8)],
+        [StorageSpec(0.4, tau=0.2), StorageSpec(1.3, eta_c=0.95, tau=4.0)],
+        [StorageSpec(0.4, e_shift=0.1, elastic_fraction=0.3), StorageSpec(1.3, elastic_fraction=0.3)],
+        [StorageSpec(1), StorageSpec(3, eta_c=1, eta_d=1, tau=0), StorageSpec(2, e_shift=1)],
+    ],
+    ids=["lossless", "lossy", "degrading", "elastic", "integer-theta"],
+)
+def test_spec_arrays_equal_the_six_pass_build(specs):
+    arr = _SpecArrays.of(specs)
+    for field, new, old in zip(_SpecArrays._fields, arr, _spec_arrays_six_passes(specs)):
+        assert new.dtype == np.float64 and new.shape == (len(specs),), field
+        assert new.flags.c_contiguous, field
+        assert np.array_equal(new, old, equal_nan=True), field
