@@ -5,18 +5,21 @@ investment plus expected supply cost. For any capacities the per-outcome
 dispatch problem only depends on the aggregate charge, whose optimum has a
 closed form: equalize the average power of the two periods, clamped to the
 available charging headroom. That reduces the planner problem to a convex
-piecewise-quadratic program in the capacities alone. It starts on the
-one-price path: the capacities a single price difference buys where that
-price meets the expected marginal supply saving. Each sweep then computes
-every user's violated one-sided partial derivative in one pass, stops once
-the largest is within the residual limit, otherwise steps each violated user
-to its exact coordinate minimum (one sorted pass over the breakpoints of its
+piecewise-quadratic program in the capacities alone, held by one
+`_PlanModel` per solve; its methods are the solver's steps. It starts on
+the one-price path (`one_price_start`): the capacities a single price
+difference buys where that price meets the expected marginal supply saving.
+Each sweep then computes every user's violated one-sided partial derivative
+in one pass (`violations`), stops once the largest is within the residual
+limit, otherwise steps each violated user to its exact coordinate minimum
+(`coordinate_minimum`, one sorted pass over the breakpoints of its
 derivative, with the aggregate headroom kept incrementally) and ends with
-exact Newton moves on the quadratic piece around the free users, which move
-coupled users jointly where coordinate steps would zig-zag. The marginal
-value of aggregate headroom is continuous, so coordinate-wise optimality is
-global optimality for this objective; every plan reports the largest
-violated one-sided partial derivative as an optimality certificate.
+exact Newton moves on the quadratic piece around the free users
+(`newton_moves`), which move coupled users jointly where coordinate steps
+would zig-zag. The marginal value of aggregate headroom is continuous, so
+coordinate-wise optimality is global optimality for this objective; every
+plan (`plan`) reports the largest violated one-sided partial derivative as
+an optimality certificate.
 
 Also provided: the zero-cost closed form, ratio reports against the pricing
 schemes and investment-structure validators.
@@ -118,22 +121,6 @@ def _shift_targets(scenarios: ScenarioSet, periods: PeriodStructure) -> np.ndarr
     ) / (periods.h_peak + periods.h_offpeak)
 
 
-def _supply_slope(
-    scenarios: ScenarioSet, periods: PeriodStructure, supply: SupplyCostParams
-) -> tuple[np.ndarray, float]:
-    """Marginal supply saving of aggregate charge S, as slope0 + curvature * S.
-
-    d/dS [g_p(Ap - S) + g_o(Ao + S)] per outcome; it is zero at the shift
-    target.
-    """
-    curvature = 2.0 * supply.alpha * (1.0 / periods.h_peak + 1.0 / periods.h_offpeak)
-    slope0 = 2.0 * supply.alpha * (
-        scenarios.aggregate_offpeak() / periods.h_offpeak
-        - scenarios.aggregate_peak() / periods.h_peak
-    )
-    return slope0, curvature
-
-
 def _greedy_charges(
     capacities: np.ndarray, peak: np.ndarray, total_shift: np.ndarray
 ) -> np.ndarray:
@@ -148,208 +135,277 @@ def _greedy_charges(
     return np.clip(total_shift[:, None] - before, 0.0, bound)
 
 
-def _plan_from_capacities(
-    scenarios: ScenarioSet,
-    thetas: Mapping[str, float],
-    periods: PeriodStructure,
-    supply: SupplyCostParams,
-    capacities: np.ndarray,
-    iterations: int,
-    residual: float | None = None,
-) -> SocialPlan:
-    """The plan of the given capacities, costed as lossless, non-degrading
-    storage on inelastic demand. residual is the capacities' optimality
-    residual if the caller has it; it is computed otherwise."""
-    targets = _shift_targets(scenarios, periods)
-    headroom = np.minimum(capacities[None, :], scenarios.peak).sum(axis=1)
-    total_shift = np.clip(targets, 0.0, headroom)
-    charges = _greedy_charges(capacities, scenarios.peak, total_shift)
-    thetas_arr = np.array([float(thetas[e]) for e in scenarios.entities])
-    if residual is None:
-        residual = _optimality_residual(
-            scenarios, thetas_arr, periods, supply, capacities, headroom
+@dataclass(frozen=True)
+class _PlanModel:
+    """The planner's model of one instance, built once per solve.
+
+    It sizes lossless, non-degrading storage on inelastic demand and reads
+    only each user's storage cost theta. demand holds one row per user
+    (peak.T, row-contiguous); targets is each outcome's unconstrained
+    cost-minimizing aggregate charge, and the marginal supply saving of
+    aggregate charge S is slope0 + curvature * S per outcome, zero at the
+    target.
+    """
+
+    scenarios: ScenarioSet
+    periods: PeriodStructure
+    supply: SupplyCostParams
+    thetas: np.ndarray
+    demand: np.ndarray
+    targets: np.ndarray
+    slope0: np.ndarray
+    curvature: float
+
+    @classmethod
+    def of(
+        cls,
+        scenarios: ScenarioSet,
+        thetas: Mapping[str, float],
+        periods: PeriodStructure,
+        supply: SupplyCostParams,
+    ) -> _PlanModel:
+        missing = [e for e in scenarios.entities if e not in thetas]
+        if missing:
+            raise InputError(f"missing storage costs for {missing}")
+        thetas_arr = np.array([float(thetas[e]) for e in scenarios.entities])
+        if not np.all(np.isfinite(thetas_arr) & (thetas_arr > 0)):
+            raise InputError("storage costs must be finite and > 0")
+        # d/dS [g_p(Ap - S) + g_o(Ao + S)] per outcome
+        curvature = 2.0 * supply.alpha * (1.0 / periods.h_peak + 1.0 / periods.h_offpeak)
+        slope0 = 2.0 * supply.alpha * (
+            scenarios.aggregate_offpeak() / periods.h_offpeak
+            - scenarios.aggregate_peak() / periods.h_peak
         )
-    ones, zeros = np.ones_like(thetas_arr), np.zeros_like(thetas_arr)
-    lossless = _SpecArrays(thetas_arr, ones, ones, zeros, zeros, zeros + np.nan)
-    breakdown = _social_cost_arrays(
-        scenarios, lossless, capacities, charges, np.zeros_like(charges), periods, supply
-    )
-    return SocialPlan(
-        capacities=dict(zip(scenarios.entities, capacities.tolist())),
-        charges={e: charges[:, j] for j, e in enumerate(scenarios.entities)},
-        social_cost=breakdown,
-        iterations=iterations,
-        optimality_residual=residual,
-    )
+        demand = np.ascontiguousarray(scenarios.peak.T)
+        targets = _shift_targets(scenarios, periods)
+        return cls(scenarios, periods, supply, thetas_arr, demand, targets, slope0, curvature)
 
+    def headroom(self, capacities: np.ndarray) -> np.ndarray:
+        """Aggregate charging headroom sum_i min(c_i, d_wi) per outcome."""
+        return np.minimum(capacities, self.scenarios.peak).sum(axis=1)
 
-def _one_sided(
-    thetas_arr: np.ndarray,
-    peak: np.ndarray,
-    probs: np.ndarray,
-    margin: np.ndarray,
-    capacities: np.ndarray,
-):
-    """Each user's right and left partial derivatives of the planner
-    objective, with the outcomes whose demand lies above (peak > c) and at
-    (peak == c) its capacity. margin is slope0 + curvature * headroom; an
-    outcome saves supply cost only where it is negative.
-    """
-    saving = probs * np.minimum(0.0, margin)
-    above, at = peak > capacities, peak == capacities
-    right = thetas_arr + saving @ above
-    left = thetas_arr + saving @ (above | at)
-    return right, left, above, at
+    def one_sided(self, margin: np.ndarray, capacities: np.ndarray):
+        """Each user's right and left partial derivatives of the planner
+        objective, with the outcomes whose demand lies above (peak > c) and at
+        (peak == c) its capacity. margin is slope0 + curvature * headroom; an
+        outcome saves supply cost only where it is negative.
+        """
+        peak = self.scenarios.peak
+        saving = self.scenarios.probs * np.minimum(0.0, margin)
+        above, at = peak > capacities, peak == capacities
+        right = self.thetas + saving @ above
+        left = self.thetas + saving @ (above | at)
+        return right, left, above, at
 
+    def violations(self, capacities: np.ndarray, headroom: np.ndarray) -> np.ndarray:
+        """Each user's violated one-sided partial derivative of the planner
+        objective (zero where the user is coordinate-optimal).
 
-def _violations(
-    scenarios: ScenarioSet,
-    thetas_arr: np.ndarray,
-    slope0: np.ndarray,
-    curvature: float,
-    capacities: np.ndarray,
-    headroom: np.ndarray,
-) -> np.ndarray:
-    """Each user's violated one-sided partial derivative of the planner
-    objective (zero where the user is coordinate-optimal).
+        Each kink of min(c_i, d_wi) involves one capacity and the clipped supply
+        term is continuously differentiable in the aggregate headroom, so the
+        directional derivative is separable and the capacities are optimal
+        exactly when every right derivative is >= 0 and, where c_i > 0, every
+        left derivative is <= 0 (Tseng 2001, JOTA 109(3)).
+        """
+        right, left, _, _ = self.one_sided(self.slope0 + self.curvature * headroom, capacities)
+        return np.maximum(np.maximum(-right, 0.0), np.where(capacities > 0.0, left, 0.0))
 
-    Each kink of min(c_i, d_wi) involves one capacity and the clipped supply
-    term is continuously differentiable in the aggregate headroom, so the
-    directional derivative is separable and the capacities are optimal
-    exactly when every right derivative is >= 0 and, where c_i > 0, every
-    left derivative is <= 0 (Tseng 2001, JOTA 109(3)).
-    """
-    right, left, _, _ = _one_sided(
-        thetas_arr, scenarios.peak, scenarios.probs, slope0 + curvature * headroom, capacities
-    )
-    return np.maximum(np.maximum(-right, 0.0), np.where(capacities > 0.0, left, 0.0))
+    def coordinate_minimum(self, i: int, rest: np.ndarray) -> float:
+        """Exact minimizer of the planner objective along user i's capacity,
+        against the aggregate headroom rest of the other users.
 
+        The right derivative at t is theta_i plus the probability-weighted
+        marginal supply saving of the outcomes where extra capacity still binds:
+        the sum over cap_w > t of p_w (slope0_w + curvature (rest_w + t)), where
+        cap_w = min(demand, shift target - rest) is the outcome's breakpoint.
+        It is non-decreasing and piecewise linear, so one sorted pass finds the
+        minimizer: suffix sums over the sorted breakpoints give the linear piece
+        ending at each of them. The minimizer lies on the first piece whose
+        derivative reaches zero by its right end: it is the piece's left end if
+        the derivative, which jumps up at breakpoints, is already >= 0 there,
+        else the root of the piece. Breakpoints <= 0 are never active for t >= 0
+        and are dropped. A tied breakpoint starts a piece of zero length, which
+        can only return that breakpoint, so ties need no special case.
+        """
+        theta_i, probs = self.thetas[i], self.scenarios.probs
+        caps = np.minimum(self.demand[i], self.targets - rest)
+        terms = probs * (self.slope0 + self.curvature * rest)
+        active = caps > 0.0
+        if theta_i + terms @ active >= 0.0:
+            return 0.0
+        order = caps.argsort()[caps.size - np.count_nonzero(active):]
+        caps = caps[order]
+        # Piece k runs from caps[k - 1] (0 for k = 0) to caps[k]; on it the
+        # derivative is theta_i + offset[k] + slope[k] * t.
+        offset = terms[order][::-1].cumsum()[::-1]
+        slope = self.curvature * probs[order][::-1].cumsum()[::-1]
+        reaches = offset + slope * caps >= -theta_i
+        k = int(reaches.argmax())
+        if not reaches[k]:
+            return float(caps[-1])
+        start = caps[k - 1] if k else 0.0
+        at_start = theta_i + offset[k] + slope[k] * start
+        if at_start >= 0.0:
+            return float(start)
+        return float(min(caps[k], start - at_start / slope[k]))
 
-def _optimality_residual(
-    scenarios: ScenarioSet,
-    thetas_arr: np.ndarray,
-    periods: PeriodStructure,
-    supply: SupplyCostParams,
-    capacities: np.ndarray,
-    headroom: np.ndarray,
-) -> float:
-    """Largest violated one-sided partial derivative of the planner objective."""
-    slope0, curvature = _supply_slope(scenarios, periods, supply)
-    violations = _violations(scenarios, thetas_arr, slope0, curvature, capacities, headroom)
-    return float(violations.max(initial=0.0))
+    def one_price_start(self) -> np.ndarray:
+        """Capacities on the one-price path where the price meets the expected
+        marginal supply saving.
 
+        Under a single price difference each user buys its sorted peak demand
+        step by step, step k firing once the price exceeds theta_i / tail mass_k
+        (the events of `scan._sorted_columns`). With c(k) the capacities after
+        the first k events in price order, the start is c(k) for the first k
+        whose price is at least the expected marginal saving of aggregate
+        headroom once event k has fired: both sides rise with k, so bisection
+        finds it in ceil(log2(events)) passes of O(N W) each.
+        """
+        peak, probs = self.scenarios.peak, self.scenarios.probs
+        levels, tails = _sorted_columns(peak, probs)
+        n = peak.shape[1]
+        prices = (self.thetas / tails).ravel()
+        # Stable, so each user's events stay in sorted order and its capacity
+        # after k events is the level of its last event among them.
+        order = prices.argsort(kind="stable")
+        prices, owner = prices[order], order % n
+        columns = np.arange(n)
 
-def _coordinate_minimum(
-    theta_i: float,
-    demand_i: np.ndarray,
-    rest: np.ndarray,
-    probs: np.ndarray,
-    slope0: np.ndarray,
-    curvature: float,
-    targets: np.ndarray,
-) -> float:
-    """Exact minimizer of the planner objective along one capacity.
+        def capacities(k: int) -> np.ndarray:
+            steps = np.bincount(owner[:k], minlength=n)
+            return np.where(steps > 0, levels[steps - 1, columns], 0.0)
 
-    The right derivative at t is theta_i plus the probability-weighted
-    marginal supply saving of the outcomes where extra capacity still binds:
-    the sum over cap_w > t of p_w (slope0_w + curvature (rest_w + t)), where
-    cap_w = min(demand, shift target - rest) is the outcome's breakpoint.
-    It is non-decreasing and piecewise linear, so one sorted pass finds the
-    minimizer: suffix sums over the sorted breakpoints give the linear piece
-    ending at each of them. The minimizer lies on the first piece whose
-    derivative reaches zero by its right end: it is the piece's left end if
-    the derivative, which jumps up at breakpoints, is already >= 0 there,
-    else the root of the piece. Breakpoints <= 0 are never active for t >= 0
-    and are dropped. A tied breakpoint starts a piece of zero length, which
-    can only return that breakpoint, so ties need no special case.
-    """
-    caps = np.minimum(demand_i, targets - rest)
-    terms = probs * (slope0 + curvature * rest)
-    active = caps > 0.0
-    if theta_i + terms @ active >= 0.0:
-        return 0.0
-    order = caps.argsort()[caps.size - np.count_nonzero(active):]
-    caps = caps[order]
-    # Piece k runs from caps[k - 1] (0 for k = 0) to caps[k]; on it the
-    # derivative is theta_i + offset[k] + slope[k] * t.
-    offset = terms[order][::-1].cumsum()[::-1]
-    slope = curvature * probs[order][::-1].cumsum()[::-1]
-    reaches = offset + slope * caps >= -theta_i
-    k = int(reaches.argmax())
-    if not reaches[k]:
-        return float(caps[-1])
-    start = caps[k - 1] if k else 0.0
-    at_start = theta_i + offset[k] + slope[k] * start
-    if at_start >= 0.0:
-        return float(start)
-    return float(min(caps[k], start - at_start / slope[k]))
+        lo, hi = 0, prices.size
+        while lo < hi:
+            k = (lo + hi) // 2
+            headroom = self.headroom(capacities(k + 1))
+            if prices[k] + probs @ np.minimum(0.0, self.slope0 + self.curvature * headroom) >= 0.0:
+                hi = k
+            else:
+                lo = k + 1
+        return capacities(lo)
 
+    def objective_change(
+        self, users: np.ndarray, margin: np.ndarray, before: np.ndarray, after: np.ndarray
+    ) -> float:
+        """Change of the planner objective when the capacities of the given
+        users move from before to after.
 
-def _one_price_start(
-    peak: np.ndarray,
-    probs: np.ndarray,
-    thetas_arr: np.ndarray,
-    slope0: np.ndarray,
-    curvature: float,
-) -> np.ndarray:
-    """Capacities on the one-price path where the price meets the expected
-    marginal supply saving.
+        The objective is investment plus (curvature / 2) sum_w p_w (T_w - H_w)_+^2,
+        the expected supply cost of the clamped optimal aggregate charge up to a
+        constant; margin is slope0 + curvature H at the start, -curvature times
+        the shortfall where it is negative. The change is summed from the moved
+        users' own headroom, so it is exact to rounding of the change itself,
+        not of the whole objective.
+        """
+        peak_b = self.scenarios.peak[:, users]
+        moved = (np.minimum(after, peak_b) - np.minimum(before, peak_b)).sum(axis=1)
+        old, new = np.minimum(margin, 0.0), np.minimum(margin + self.curvature * moved, 0.0)
+        supply = self.scenarios.probs @ ((new - old) * (new + old)) / (2.0 * self.curvature)
+        return float(self.thetas[users] @ (after - before) + supply)
 
-    Under a single price difference each user buys its sorted peak demand
-    step by step, step k firing once the price exceeds theta_i / tail mass_k
-    (the events of `scan._sorted_columns`). With c(k) the capacities after
-    the first k events in price order, the start is c(k) for the first k
-    whose price is at least the expected marginal saving of aggregate
-    headroom once event k has fired: both sides rise with k, so bisection
-    finds it in ceil(log2(events)) passes of O(N W) each.
-    """
-    levels, tails = _sorted_columns(peak, probs)
-    n = peak.shape[1]
-    prices = (thetas_arr / tails).ravel()
-    # Stable, so each user's events stay in sorted order and its capacity
-    # after k events is the level of its last event among them.
-    order = prices.argsort(kind="stable")
-    prices, owner = prices[order], order % n
-    columns = np.arange(n)
+    def newton_moves(self, capacities: np.ndarray) -> np.ndarray:
+        """Capacities after a null-space move and a Newton step on the block.
 
-    def capacities(k: int) -> np.ndarray:
-        steps = np.bincount(owner[:k], minlength=n)
-        return np.where(steps > 0, levels[steps - 1, columns], 0.0)
+        Only short outcomes, those with headroom below target, shape the
+        objective near c. The block holds the free users (0 < c_i and c_i at
+        none of its demands in a short outcome) plus the users at such a kink
+        whose one-sided derivative is violated. While no block capacity passes
+        0 or one of those demands and no outcome's headroom crosses its target,
+        the objective is quadratic in the block: g'd + d'Md/2 with
+        M = curvature B' diag(p) B over the short outcomes, where B marks those
+        in which a block user's capacity binds (for a violated kinked user, on
+        the side of its violation). The first move follows -(I - M+M)g, the part
+        of the gradient in M's null space, along which the objective is linear;
+        the second takes the Newton step -M+g, each user kept between its
+        nearest kinks. Each goes as far as the first pattern change, where the
+        model is exact, and is also tried as far as the kinks allow (to t = 1
+        for the Newton step), past outcomes' targets, where it holds nearly.
+        The objective change of each is summed exactly, and the better is kept
+        if the objective falls.
+        """
+        peak, probs, curvature = self.scenarios.peak, self.scenarios.probs, self.curvature
+        users = None
+        for null_space in (True, False):
+            if users is None:
+                margin = self.slope0 + curvature * self.headroom(capacities)
+                grad_right, grad_left, above, at = self.one_sided(margin, capacities)
+                short = margin < 0.0
+                rows, above, at = peak[short], above[short], at[short]
+                kinked = (capacities == 0.0) | at.any(axis=0)
+                up = kinked & (grad_right < 0.0)
+                down = kinked & (capacities > 0.0) & (grad_left > 0.0)
+                users = np.flatnonzero(~kinked | up | down)
+                if not users.size:
+                    break
+                # From here on, arrays run over these users only.
+                up, down, c = up[users], down[users], capacities[users]
+                pattern = above[:, users] | (at[:, users] & down)
+                grads = np.where(down, grad_left[users], grad_right[users])
+                scaled = np.sqrt(curvature * probs[short])[:, None] * pattern
+                sub = rows[:, users]
+                lo = np.where(up, c, np.where(sub < c, sub, 0.0).max(axis=0, initial=0.0))
+                hi = np.where(down, c, np.where(sub > c, sub, np.inf).min(axis=0, initial=np.inf))
+                basis = _range_basis(scaled)
+            if null_space:
+                step = _null_space_step(scaled, grads, up, down, basis)
+            else:
+                step = _newton_step(scaled, grads, lo - c, hi - c, basis)
+            if not step.any():
+                continue
+            # Short outcomes gain headroom at their exact rate; the others can
+            # lose at most the falling capacities that may drop below demand.
+            rate = pattern @ step
+            drop = (peak[~short][:, users] > lo) @ np.minimum(step, 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                far = min(
+                    np.inf if null_space else 1.0,
+                    np.where(step > 0.0, (hi - c) / step, np.inf).min(),
+                    np.where(step < 0.0, (lo - c) / step, np.inf).min(),
+                )
+                reach = np.concatenate((
+                    np.where(rate > 0.0, -margin[short] / (curvature * rate), np.inf),
+                    np.where(drop < 0.0, -margin[~short] / (curvature * drop), np.inf),
+                ))
+            t = min(far, reach.min())
+            best = 0.0
+            for length in (t, far) if far > t else (t,):
+                if not 0.0 < length < np.inf:
+                    continue
+                after = np.clip(c + length * step, lo, hi)
+                change = self.objective_change(users, margin, c, after)
+                if change < best:
+                    best, moved = change, after
+            if best < 0.0:
+                capacities = capacities.copy()
+                capacities[users] = moved
+                users = None
+        return capacities
 
-    lo, hi = 0, prices.size
-    while lo < hi:
-        k = (lo + hi) // 2
-        headroom = np.minimum(capacities(k + 1), peak).sum(axis=1)
-        if prices[k] + probs @ np.minimum(0.0, slope0 + curvature * headroom) >= 0.0:
-            hi = k
-        else:
-            lo = k + 1
-    return capacities(lo)
-
-
-def _objective_change(
-    thetas_b: np.ndarray,
-    peak_b: np.ndarray,
-    probs: np.ndarray,
-    margin: np.ndarray,
-    curvature: float,
-    before: np.ndarray,
-    after: np.ndarray,
-) -> float:
-    """Change of the planner objective when the capacities of some users
-    (their demand columns peak_b) move from before to after.
-
-    The objective is investment plus (curvature / 2) sum_w p_w (T_w - H_w)_+^2,
-    the expected supply cost of the clamped optimal aggregate charge up to a
-    constant; margin is slope0 + curvature H at the start, -curvature times
-    the shortfall where it is negative. The change is summed from the moved
-    users' own headroom, so it is exact to rounding of the change itself,
-    not of the whole objective.
-    """
-    moved = (np.minimum(after, peak_b) - np.minimum(before, peak_b)).sum(axis=1)
-    old, new = np.minimum(margin, 0.0), np.minimum(margin + curvature * moved, 0.0)
-    supply = probs @ ((new - old) * (new + old)) / (2.0 * curvature)
-    return float(thetas_b @ (after - before) + supply)
+    def plan(
+        self, capacities: np.ndarray, iterations: int, residual: float | None = None
+    ) -> SocialPlan:
+        """The plan of the given capacities, costed as lossless, non-degrading
+        storage on inelastic demand. residual is the capacities' optimality
+        residual if the caller has it; it is computed otherwise."""
+        scenarios = self.scenarios
+        headroom = self.headroom(capacities)
+        charges = _greedy_charges(capacities, scenarios.peak, np.clip(self.targets, 0.0, headroom))
+        if residual is None:
+            residual = float(self.violations(capacities, headroom).max(initial=0.0))
+        ones, zeros = np.ones_like(self.thetas), np.zeros_like(self.thetas)
+        lossless = _SpecArrays(self.thetas, ones, ones, zeros, zeros, zeros + np.nan)
+        breakdown = _social_cost_arrays(
+            scenarios, lossless, capacities, charges, np.zeros_like(charges),
+            self.periods, self.supply,
+        )
+        return SocialPlan(
+            capacities=dict(zip(scenarios.entities, capacities.tolist())),
+            charges={e: charges[:, j] for j, e in enumerate(scenarios.entities)},
+            social_cost=breakdown,
+            iterations=iterations,
+            optimality_residual=residual,
+        )
 
 
 def _range_basis(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -411,95 +467,6 @@ def _newton_step(
     return step
 
 
-def _newton_moves(
-    thetas_arr: np.ndarray,
-    peak: np.ndarray,
-    probs: np.ndarray,
-    slope0: np.ndarray,
-    curvature: float,
-    capacities: np.ndarray,
-) -> np.ndarray:
-    """Capacities after a null-space move and a Newton step on the block.
-
-    Only short outcomes, those with headroom below target, shape the
-    objective near c. The block holds the free users (0 < c_i and c_i at
-    none of its demands in a short outcome) plus the users at such a kink
-    whose one-sided derivative is violated. While no block capacity passes
-    0 or one of those demands and no outcome's headroom crosses its target,
-    the objective is quadratic in the block: g'd + d'Md/2 with
-    M = curvature B' diag(p) B over the short outcomes, where B marks those
-    in which a block user's capacity binds (for a violated kinked user, on
-    the side of its violation). The first move follows -(I - M+M)g, the part
-    of the gradient in M's null space, along which the objective is linear;
-    the second takes the Newton step -M+g, each user kept between its
-    nearest kinks. Each goes as far as the first pattern change, where the
-    model is exact, and is also tried as far as the kinks allow (to t = 1
-    for the Newton step), past outcomes' targets, where it holds nearly.
-    The objective change of each is summed exactly, and the better is kept
-    if the objective falls.
-    """
-    users = None
-    for null_space in (True, False):
-        if users is None:
-            margin = slope0 + curvature * np.minimum(capacities, peak).sum(axis=1)
-            grad_right, grad_left, above, at = _one_sided(
-                thetas_arr, peak, probs, margin, capacities
-            )
-            short = margin < 0.0
-            rows, above, at = peak[short], above[short], at[short]
-            kinked = (capacities == 0.0) | at.any(axis=0)
-            up = kinked & (grad_right < 0.0)
-            down = kinked & (capacities > 0.0) & (grad_left > 0.0)
-            users = np.flatnonzero(~kinked | up | down)
-            if not users.size:
-                break
-            # From here on, arrays run over these users only.
-            up, down, c = up[users], down[users], capacities[users]
-            pattern = above[:, users] | (at[:, users] & down)
-            grads = np.where(down, grad_left[users], grad_right[users])
-            scaled = np.sqrt(curvature * probs[short])[:, None] * pattern
-            sub = rows[:, users]
-            lo = np.where(up, c, np.where(sub < c, sub, 0.0).max(axis=0, initial=0.0))
-            hi = np.where(down, c, np.where(sub > c, sub, np.inf).min(axis=0, initial=np.inf))
-            basis = _range_basis(scaled)
-        if null_space:
-            step = _null_space_step(scaled, grads, up, down, basis)
-        else:
-            step = _newton_step(scaled, grads, lo - c, hi - c, basis)
-        if not step.any():
-            continue
-        # Short outcomes gain headroom at their exact rate; the others can
-        # lose at most the falling capacities that may drop below demand.
-        rate = pattern @ step
-        drop = (peak[~short][:, users] > lo) @ np.minimum(step, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            far = min(
-                np.inf if null_space else 1.0,
-                np.where(step > 0.0, (hi - c) / step, np.inf).min(),
-                np.where(step < 0.0, (lo - c) / step, np.inf).min(),
-            )
-            reach = np.concatenate((
-                np.where(rate > 0.0, -margin[short] / (curvature * rate), np.inf),
-                np.where(drop < 0.0, -margin[~short] / (curvature * drop), np.inf),
-            ))
-        t = min(far, reach.min())
-        best = 0.0
-        for length in (t, far) if far > t else (t,):
-            if not 0.0 < length < np.inf:
-                continue
-            after = np.clip(c + length * step, lo, hi)
-            change = _objective_change(
-                thetas_arr[users], peak[:, users], probs, margin, curvature, c, after
-            )
-            if change < best:
-                best, moved = change, after
-        if best < 0.0:
-            capacities = capacities.copy()
-            capacities[users] = moved
-            users = None
-    return capacities
-
-
 def solve_so(
     scenarios: ScenarioSet,
     thetas: Mapping[str, float],
@@ -510,66 +477,56 @@ def solve_so(
     """Minimize investment plus expected supply cost over per-user capacities.
 
     The per-outcome aggregate charge is always the closed-form clamped
-    optimum, so the search is over the capacity vector alone. It starts on
-    the one-price path (_one_price_start). Each sweep first computes every
-    user's violated one-sided partial derivative in one vectorized pass
-    (_violations) and stops when the largest is at most the residual limit,
-    tolerance times the size of the derivative at zero capacity
-    (max theta + sum_w p_w |slope0_w|). Otherwise it visits, in index order,
-    every user whose violation is positive, moving it to its exact
-    coordinate minimum: one sorted pass over its breakpoints
-    (_coordinate_minimum) against the aggregate headroom of the other users,
-    updated in place after every step. The sweep ends with exact Newton
-    moves on the free and violated kinked users (_newton_moves), which move
-    the coupled users that coordinate steps would zig-zag between jointly
-    towards their minimum. The returned plan carries the optimality
-    residual of its final capacities (the one the stop test saw), the limit
-    it met and the number of sweeps; its cost is summed on the capacity and
-    charge arrays (_social_cost_arrays), with no per-user spec or profile.
-    Raises ConvergenceError carrying the best incumbent if the residual is
-    above the limit after max_iterations sweeps.
+    optimum, so the search is over the capacity vector alone, with the
+    methods of one _PlanModel of the instance. It starts on the one-price
+    path (one_price_start). Each sweep first computes every user's violated
+    one-sided partial derivative in one vectorized pass (violations) and
+    stops when the largest is at most the residual limit, tolerance times
+    the size of the derivative at zero capacity (max theta + sum_w p_w
+    |slope0_w|). Otherwise it visits, in index order, every user whose
+    violation is positive, moving it to its exact coordinate minimum: one
+    sorted pass over its breakpoints (coordinate_minimum) against the
+    aggregate headroom of the other users, updated in place after every
+    step. The sweep ends with exact Newton moves on the free and violated
+    kinked users (newton_moves), which move the coupled users that
+    coordinate steps would zig-zag between jointly towards their minimum.
+    The returned plan carries the optimality residual of its final
+    capacities (the one the stop test saw), the limit it met and the number
+    of sweeps; its cost is summed on the capacity and charge arrays
+    (_social_cost_arrays), with no per-user spec or profile. Raises
+    ConvergenceError carrying the best incumbent if the residual is above
+    the limit after max_iterations sweeps.
 
     The planner sees only each user's storage cost theta: it sizes lossless,
     non-degrading storage on inelastic demand, whatever the efficiency,
     degradation or elastic share the tariff schemes are evaluated with.
     """
     settings = settings or SolverSettings()
-    missing = [e for e in scenarios.entities if e not in thetas]
-    if missing:
-        raise InputError(f"missing storage costs for {missing}")
-    thetas_arr = np.array([float(thetas[e]) for e in scenarios.entities])
-    if np.any(thetas_arr <= 0):
-        raise InputError("storage costs must be > 0")
-    probs, peak = scenarios.probs, scenarios.peak
-    targets = _shift_targets(scenarios, periods)
-    slope0, curvature = _supply_slope(scenarios, periods, supply)
-    limit = float(settings.tolerance * (thetas_arr.max() + probs @ np.abs(slope0)))
-    capacities = _one_price_start(peak, probs, thetas_arr, slope0, curvature)
-    # One row per user: its demand and its share min(c_i, d_wi) of headroom.
-    demand = np.ascontiguousarray(peak.T)
+    model = _PlanModel.of(scenarios, thetas, periods, supply)
+    scale = model.thetas.max() + scenarios.probs @ np.abs(model.slope0)
+    limit = float(settings.tolerance * scale)
+    capacities = model.one_price_start()
+    demand = model.demand
     sweeps, residual = 0, None
     for sweeps in range(1, settings.max_iterations + 1):
-        # Summed as _plan_from_capacities sums it, so the residual it is
-        # handed is the one it would compute.
-        total = np.minimum(capacities, peak).sum(axis=1)
-        violations = _violations(scenarios, thetas_arr, slope0, curvature, capacities, total)
+        # Summed as the plan sums it, so the residual it is handed is the
+        # one it would compute.
+        total = model.headroom(capacities)
+        violations = model.violations(capacities, total)
         if violations.max() <= limit:
             residual = float(violations.max())
             break
+        # One row per user: its share min(c_i, d_wi) of headroom.
         bound = np.minimum(capacities[:, None], demand)
         for i in np.flatnonzero(violations > 0.0).tolist():
             rest = total - bound[i]
-            capacities[i] = _coordinate_minimum(
-                thetas_arr[i], demand[i], rest, probs, slope0, curvature, targets
-            )
+            capacities[i] = model.coordinate_minimum(i, rest)
             np.minimum(capacities[i], demand[i], out=bound[i])
             np.add(rest, bound[i], out=total)
-        capacities = _newton_moves(thetas_arr, peak, probs, slope0, curvature, capacities)
+        capacities = model.newton_moves(capacities)
     # Past max_iterations the capacities have moved since their last check,
     # so the plan computes their residual itself.
-    plan = _plan_from_capacities(
-        scenarios, thetas, periods, supply, capacities, sweeps, residual
-    )
+    plan = model.plan(capacities, sweeps, residual)
     plan.residual_limit = limit
     if not plan.optimality_residual <= limit:
         raise ConvergenceError(
@@ -618,15 +575,18 @@ def compute_ratios(
 def _validate_structure(
     capacities: Mapping[str, float],
     thetas: Mapping[str, float],
-    scenarios: ScenarioSet,
+    entities: tuple[str, ...],
+    support: np.ndarray,
     boundary_class: bool,
 ) -> StructureReport:
-    atol = 1e-7 * max(1.0, float(scenarios.peak.max()))
+    """The structure rules on capacities, each user's peak support being
+    its column of the (outcome x entity) support matrix."""
+    atol = 1e-7 * max(1.0, float(support.max()))
     violations = []
     invested = {}
     exempt = set()
-    lows = dict(zip(scenarios.entities, scenarios.peak.min(axis=0).tolist()))
-    for e, hi in zip(scenarios.entities, scenarios.peak.max(axis=0).tolist()):
+    lows = dict(zip(entities, support.min(axis=0).tolist()))
+    for e, hi in zip(entities, support.max(axis=0).tolist()):
         c = capacities[e]
         invested[e] = c > atol
         if lows[e] <= atol:
@@ -645,7 +605,7 @@ def _validate_structure(
                     f"cost level {cost} below invested level {boundary} has no investor "
                     f"(users {users})"
                 )
-        for e in scenarios.entities:
+        for e in entities:
             c = capacities[e]
             lo = lows[e]
             # A boundary class may size anywhere, so only costs below it count.
@@ -673,7 +633,7 @@ def validate_structure_so(
     lower peak support is zero are exempt from the prefix requirement since
     extra capacity can be worthless to them regardless of cost.
     """
-    return _validate_structure(plan.capacities, thetas, scenarios, True)
+    return _validate_structure(plan.capacities, thetas, scenarios.entities, scenarios.peak, True)
 
 
 def validate_structure_pricing(
@@ -685,7 +645,11 @@ def validate_structure_pricing(
 
     Same cost-prefix requirement as the planner check, but with no boundary
     class: every user at an invested cost level must size within its peak
-    support (users with zero lower support exempt from the lower bound).
+    support (users with zero lower support exempt from the lower bound). A
+    user that shifts elastic demand sizes on its residual peak, so its
+    support is peak demand less its profile's shifted load.
     """
+    entities = scenarios.entities
     capacities = {e: r.capacity for e, r in responses.items()}
-    return _validate_structure(capacities, thetas, scenarios, False)
+    shifted = np.column_stack([responses[e].shifted for e in entities])
+    return _validate_structure(capacities, thetas, entities, scenarios.peak - shifted, False)

@@ -17,8 +17,7 @@ import numpy as np
 
 from .benchmark import (
     SocialPlan,
-    _plan_from_capacities,
-    _shift_targets,
+    _PlanModel,
     compute_ratios,
     solve_so,
     validate_structure_pricing,
@@ -101,7 +100,7 @@ def brute_force_so(
         raise InputError("grid_step must be > 0")
     if scenarios.n_entities > 3 or scenarios.n_outcomes > 4:
         raise InputError("brute force is limited to 3 users and 4 outcomes")
-    thetas_arr = np.array([float(thetas[e]) for e in scenarios.entities])
+    model = _PlanModel.of(scenarios, thetas, periods, supply)
     grids = []
     for j in range(scenarios.n_entities):
         hi = float(scenarios.peak[:, j].max())
@@ -112,20 +111,16 @@ def brute_force_so(
         raise InputError(f"instance too large: {total} capacity combinations")
     mesh = np.meshgrid(*grids, indexing="ij")
     combos = np.stack([m.ravel() for m in mesh], axis=1)
-    targets = _shift_targets(scenarios, periods)
     agg_peak, agg_offpeak = scenarios.aggregate_peak(), scenarios.aggregate_offpeak()
-    cost = combos @ thetas_arr
+    cost = combos @ model.thetas
     expected = np.zeros(len(combos))
     for w in range(scenarios.n_outcomes):
         headroom = np.minimum(combos, scenarios.peak[w][None, :]).sum(axis=1)
-        shift = np.clip(targets[w], 0.0, headroom)
+        shift = np.clip(model.targets[w], 0.0, headroom)
         per = two_period_supply_cost(agg_peak[w] - shift, agg_offpeak[w] + shift, periods, supply)
         expected += scenarios.probs[w] * per
     cost = cost + expected
-    best = int(np.argmin(cost))
-    return _plan_from_capacities(
-        scenarios, thetas, periods, supply, combos[best], iterations=0
-    )
+    return model.plan(combos[int(np.argmin(cost))], iterations=0)
 
 
 def tightness_instance(

@@ -18,13 +18,11 @@ scalar path bit for bit; only the order of the cost summation differs.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from .costs import two_period_supply_cost
 from .demand import ScenarioSet
-from .response import ResponseProfile, StorageSpec, _SpecArrays, equivalent_transform
+from .response import ResponseProfile, _SpecArrays, equivalent_transform
 
 _CURVE_BLOCK = 1024  # rows per block: price differences of social_cost_curve, sweep events
 
@@ -191,12 +189,3 @@ def _best_responses(price, scenarios: ScenarioSet, arr: _SpecArrays):
 def _profiles(entities, capacity, charge, shifted) -> dict[str, ResponseProfile]:
     """One `ResponseProfile` per entity from `_best_responses`' arrays."""
     return ResponseProfile._batch(entities, capacity, charge.T, shifted.T)
-
-
-def _respond_all(
-    price, scenarios: ScenarioSet, specs: Mapping[str, StorageSpec]
-) -> dict[str, ResponseProfile]:
-    """Every entity's `respond` to the tariff, each profile bit-identical to
-    `respond`'s."""
-    arr = _SpecArrays.of([specs[e] for e in scenarios.entities])
-    return _profiles(scenarios.entities, *_best_responses(price, scenarios, arr))

@@ -32,17 +32,14 @@ from toudesign import (
     validate_structure_so,
 )
 
+from toudesign import benchmark as benchmark_module
+from toudesign import oracles as oracles_module
 from toudesign.benchmark import (
-    _coordinate_minimum,
     _greedy_charges,
-    _newton_moves,
     _newton_step,
-    _one_price_start,
-    _plan_from_capacities,
+    _PlanModel,
     _shift_targets,
     _range_basis,
-    _supply_slope,
-    _violations,
 )
 from toudesign.cli import _json_default
 from toudesign.costs import two_period_supply_cost
@@ -114,9 +111,7 @@ def test_optimality_residual_flags_zero_capacities_where_storage_pays(quadratic_
     plan = solve_so(scen, thetas, HALF_DAY, quadratic_supply)
     assert max(plan.capacities.values()) > 0.0
     assert plan.optimality_residual <= 1e-5 * 0.1
-    idle = _plan_from_capacities(
-        scen, thetas, HALF_DAY, quadratic_supply, np.zeros(3), iterations=0
-    )
+    idle = _PlanModel.of(scen, thetas, HALF_DAY, quadratic_supply).plan(np.zeros(3), 0)
     assert idle.optimality_residual > 1e-3
     payload = json.loads(json.dumps(plan, default=_json_default))
     assert payload["optimality_residual"] == plan.optimality_residual
@@ -196,9 +191,66 @@ def test_solver_reports_non_convergence(monkeypatch):
     assert err.value.best.optimality_residual > err.value.best.residual_limit
 
 
+@pytest.mark.parametrize("bad", [None, 0.0, -0.5, np.nan, np.inf])
+def test_planners_reject_bad_storage_costs_before_a_sweep(monkeypatch, quadratic_supply, bad):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a planner searched with bad storage costs")
+
+    monkeypatch.setattr(_PlanModel, "one_price_start", refuse)
+    monkeypatch.setattr(_PlanModel, "violations", refuse)
+    monkeypatch.setattr(oracles_module, "two_period_supply_cost", refuse)
+    scen = random_scenarios(np.random.default_rng(24), 2, 3)
+    thetas = {scen.entities[0]: 0.5}
+    if bad is None:
+        message = "missing storage costs for"
+    else:
+        thetas[scen.entities[1]] = bad
+        message = "storage costs must be finite and > 0"
+    with pytest.raises(InputError, match=message):
+        solve_so(scen, thetas, HALF_DAY, quadratic_supply)
+    with pytest.raises(InputError, match=message):
+        brute_force_so(scen, thetas, HALF_DAY, quadratic_supply, 0.5)
+
+
+def test_each_solve_builds_one_plan_model(monkeypatch, quadratic_supply):
+    # The planner's model, and with it the shift targets, is built once per
+    # solve: when it converges, on the ConvergenceError exit and in the
+    # brute-force oracle.
+    stuck = perfbench_instance(monkeypatch, 7, 256, 30)
+    models, targets = [], []
+    of, shift_targets = _PlanModel.of, benchmark_module._shift_targets
+
+    def counted_of(*args):
+        models.append(args)
+        return of(*args)
+
+    def counted_targets(*args):
+        targets.append(args)
+        return shift_targets(*args)
+
+    monkeypatch.setattr(_PlanModel, "of", staticmethod(counted_of))
+    monkeypatch.setattr(benchmark_module, "_shift_targets", counted_targets)
+    scen = random_scenarios(np.random.default_rng(25), 3, 4)
+    thetas = thetas_for(scen, [0.02, 0.05, 0.1])
+
+    def stop_early():
+        with pytest.raises(ConvergenceError):
+            solve_so(*stuck, SolverSettings(tolerance=1e-16, max_iterations=1))
+
+    for solve in (
+        lambda: solve_so(scen, thetas, HALF_DAY, quadratic_supply),
+        stop_early,
+        lambda: brute_force_so(scen, thetas, HALF_DAY, quadratic_supply, 0.5),
+    ):
+        models.clear()
+        targets.clear()
+        solve()
+        assert (len(models), len(targets)) == (1, 1)
+
+
 def residual_limit(scen, thetas, supply, periods=HALF_DAY, tolerance=SolverSettings().tolerance):
     """tolerance times the size of the planner's derivative at zero capacity."""
-    slope0, _ = _supply_slope(scen, periods, supply)
+    slope0 = _PlanModel.of(scen, thetas, periods, supply).slope0
     return tolerance * (max(thetas.values()) + scen.probs @ np.abs(slope0))
 
 
@@ -290,10 +342,10 @@ def test_every_plan_is_certified_on_the_convergence_battery():
 def assert_plan_costed_as_profiles(scen, thetas, periods, supply):
     """The plan's breakdown equals the profile front's over lossless specs
     and inelastic profiles, and solve_so hands its plan the residual that
-    _plan_from_capacities computes for the same capacities."""
+    the model's plan computes for the same capacities."""
     plan = solve_so(scen, thetas, periods, supply)
     caps = np.array([plan.capacities[e] for e in scen.entities])
-    again = _plan_from_capacities(scen, thetas, periods, supply, caps, plan.iterations)
+    again = _PlanModel.of(scen, thetas, periods, supply).plan(caps, plan.iterations)
     assert again.optimality_residual == plan.optimality_residual
     specs = {e: StorageSpec(theta=thetas[e]) for e in scen.entities}
     zeros = np.zeros(scen.n_outcomes)
@@ -483,6 +535,28 @@ def test_validator_messages_and_their_order():
     ]
 
 
+def test_pricing_validator_bounds_a_shifting_user_on_its_residual_support():
+    # "a" shifts a quarter of its peak and sizes on the residual [3.0, 4.5];
+    # "b" shifts nothing and keeps its full peak support.
+    peak = np.array([[4.0, 2.0], [6.0, 5.0]])
+    scen = ScenarioSet(("a", "b"), np.array([0.5, 0.5]), peak, np.zeros_like(peak))
+    thetas = {"a": 0.5, "b": 0.5}
+
+    def responses(capacity):
+        return {
+            "a": ResponseProfile(capacity, np.zeros(2), 0.25 * peak[:, 0]),
+            "b": ResponseProfile(2.0, np.zeros(2), np.zeros(2)),
+        }
+
+    assert validate_structure_pricing(responses(3.0), thetas, scen).ok
+    assert validate_structure_pricing(responses(2.5), thetas, scen).violations == [
+        "user a: invested cost level 0.5 but capacity 2.5 below min peak support 3.0"
+    ]
+    assert validate_structure_pricing(responses(5.0), thetas, scen).violations == [
+        "user a: capacity 5.0 above max peak support 4.5"
+    ]
+
+
 def test_validators_pass_on_solver_outputs(quadratic_supply):
     rng = np.random.default_rng(8)
     for _ in range(40):
@@ -644,11 +718,10 @@ def _coordinate_case(theta, demand, rest, offpeak, probs, extra=None):
     peak = np.column_stack((demand, rest, extra))
     off = np.column_stack((offpeak, np.zeros_like(demand), np.zeros_like(demand)))
     scen = ScenarioSet(("i", "rest", "load"), probs, peak, off)
-    targets = _shift_targets(scen, HALF_DAY)
-    slope0, curvature = _supply_slope(scen, HALF_DAY, supply)
-    assert curvature == pytest.approx(COORDINATE_CURVATURE, rel=1e-15)
-    t = _coordinate_minimum(theta, demand, rest, probs, slope0, curvature, targets)
     thetas = np.array([theta, 1.0, 1.0])
+    model = _PlanModel.of(scen, thetas_for(scen, thetas), HALF_DAY, supply)
+    assert model.curvature == pytest.approx(COORDINATE_CURVATURE, rel=1e-15)
+    t = model.coordinate_minimum(0, rest)
     cap_rest = float(rest.max())
 
     objective = _objective(scen, thetas, HALF_DAY, supply)
@@ -656,7 +729,7 @@ def _coordinate_case(theta, demand, rest, offpeak, probs, extra=None):
     def along(x):
         return objective(np.array([x, cap_rest, 0.0]))
 
-    return t, along, np.minimum(demand, targets - rest)
+    return t, along, np.minimum(demand, model.targets - rest)
 
 
 def _assert_coordinate_minimum(t, along, demand, breakpoints):
@@ -787,9 +860,9 @@ def test_one_price_start_matches_a_linear_walk_over_the_events(quadratic_supply)
         n_users, n_out = (int(x) for x in rng.integers(1, 8, 2))
         scen = random_scenarios(rng, n_users, n_out, equiprob=bool(rng.integers(2)))
         thetas_arr = rng.choice([1e-10, 0.01, 0.1, 1.0, 50.0], n_users)
-        slope0, curvature = _supply_slope(scen, HALF_DAY, quadratic_supply)
-        start = _one_price_start(scen.peak, scen.probs, thetas_arr, slope0, curvature)
-        want = _one_price_path_by_enumeration(scen, thetas_arr, slope0, curvature)
+        model = _PlanModel.of(scen, thetas_for(scen, thetas_arr), HALF_DAY, quadratic_supply)
+        start = model.one_price_start()
+        want = _one_price_path_by_enumeration(scen, thetas_arr, model.slope0, model.curvature)
         assert start.tolist() == want.tolist()
         for i in range(n_users):
             assert start[i] == 0.0 or start[i] in scen.peak[:, i]
@@ -801,7 +874,7 @@ def test_newton_moves_never_raise_the_objective(quadratic_supply):
         n_users, n_out = (int(x) for x in rng.integers(1, 9, 2))
         scen = random_scenarios(rng, n_users, n_out)
         thetas_arr = rng.choice([1e-10, 0.01, 0.1, 1.0], n_users)
-        slope0, curvature = _supply_slope(scen, HALF_DAY, quadratic_supply)
+        model = _PlanModel.of(scen, thetas_for(scen, thetas_arr), HALF_DAY, quadratic_supply)
         objective = _objective(scen, thetas_arr, HALF_DAY, quadratic_supply)
         # Free users, users at one of their demands and users at zero.
         kinks = scen.peak[rng.integers(n_out, size=n_users), np.arange(n_users)]
@@ -810,9 +883,7 @@ def test_newton_moves_never_raise_the_objective(quadratic_supply):
             [kinks, np.zeros(n_users)],
             rng.uniform(0.0, 8.0, n_users),
         )
-        moved = _newton_moves(
-            thetas_arr, scen.peak, scen.probs, slope0, curvature, capacities.copy()
-        )
+        moved = model.newton_moves(capacities.copy())
         assert np.all(moved >= 0.0)
         assert objective(moved) <= objective(capacities)
 
@@ -822,17 +893,13 @@ def test_newton_moves_settle_identical_users_that_coordinate_steps_zig_zag():
     # for the investment, so the cheaper user should carry all of it.
     periods, supply = HALF_DAY, SupplyCostParams(alpha=1.0)
     scen = ScenarioSet(("a", "b"), np.ones(1), np.full((1, 2), 10.0), np.zeros((1, 2)))
-    thetas_arr = np.array([0.01, 0.02])
-    slope0, curvature = _supply_slope(scen, periods, supply)
+    model = _PlanModel.of(scen, {"a": 0.01, "b": 0.02}, periods, supply)
     capacities = np.array([2.0, 2.0])
     for _ in range(2):
-        capacities = _newton_moves(
-            thetas_arr, scen.peak, scen.probs, slope0, curvature, capacities
-        )
-    target = _shift_targets(scen, periods)[0]
-    np.testing.assert_allclose(capacities, [target - 0.01 / curvature, 0.0], rtol=1e-12)
-    headroom = np.minimum(capacities, scen.peak).sum(axis=1)
-    assert _violations(scen, thetas_arr, slope0, curvature, capacities, headroom).max() < 1e-12
+        capacities = model.newton_moves(capacities)
+    target = model.targets[0]
+    np.testing.assert_allclose(capacities, [target - 0.01 / model.curvature, 0.0], rtol=1e-12)
+    assert model.violations(capacities, model.headroom(capacities)).max() < 1e-12
 
 
 def test_newton_step_is_the_pseudo_inverse_step_inside_its_box():

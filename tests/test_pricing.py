@@ -26,7 +26,7 @@ from toudesign.oracles import grid_check
 from toudesign import pricing as pricing_module
 from toudesign.pricing import _CURVE_BLOCK, user_specs_from_grouping
 from toudesign.response import ResponseProfile, _SpecArrays
-from toudesign.scan import _respond_all, _StepEvents
+from toudesign.scan import _StepEvents, _best_responses, _profiles
 
 from conftest import HALF_DAY, random_scenarios, random_specs
 
@@ -644,6 +644,13 @@ def test_event_sweep_steps_fired_below_the_shift_cost():
     )
 
 
+def _respond_all(price, scenarios, specs):
+    """Every entity's `respond` to the tariff through the search's array pass,
+    each profile bit-identical to `respond`'s."""
+    arr = _SpecArrays.of([specs[e] for e in scenarios.entities])
+    return _profiles(scenarios.entities, *_best_responses(price, scenarios, arr))
+
+
 def _assert_profiles_equal_respond(scen, specs, price, responses):
     for j, e in enumerate(scen.entities):
         one = respond(specs[e], price, scen.probs, scen.peak[:, j])
@@ -770,12 +777,9 @@ def test_searches_build_no_profile_one_at_a_time(monkeypatch, kind, scheme):
     plain = optimize_price_difference(*args, HALF_DAY, SUPPLY)
     extended = optimize_prices_extended(*args, HALF_DAY, SUPPLY, grid[:2], grid[2])
     assert checks == []
-    # The structure rule bounds capacity by the full peak support, but an
-    # elastic user sizes on its residual demand, below that support.
-    if kind != "elastic":
-        thetas = {e: s.theta for e, s in user_specs.items()}
-        for result in (plain, extended):
-            assert validate_structure_pricing(result.responses, thetas, users).ok
+    thetas = {e: s.theta for e, s in user_specs.items()}
+    for result in (plain, extended):
+        assert validate_structure_pricing(result.responses, thetas, users).ok
     respond(user_specs["u0"], extended.best_price, users.probs, users.peak[:, 0])
     assert len(checks) == 1
 
