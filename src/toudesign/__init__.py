@@ -61,12 +61,3 @@ from .response import (
     threshold_set_extended,
 )
 
-
-def __getattr__(name):
-    # The reference checks load on first use, so `import toudesign` does
-    # not compile them.
-    if name in ("brute_force_so", "tightness_instance"):
-        from . import oracles
-
-        return getattr(oracles, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -61,7 +61,7 @@ class SolverSettings:
             raise InputError("max_iterations must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SocialPlan:
     """Planner solution: per-user capacities, per-outcome charges, cost.
 
@@ -164,10 +164,7 @@ class _PlanModel:
         periods: PeriodStructure,
         supply: SupplyCostParams,
     ) -> _PlanModel:
-        missing = [e for e in scenarios.entities if e not in thetas]
-        if missing:
-            raise InputError(f"missing storage costs for {missing}")
-        thetas_arr = np.array([float(thetas[e]) for e in scenarios.entities])
+        thetas_arr = np.array(scenarios.per_entity(thetas, "storage costs"), dtype=float)
         if not np.all(np.isfinite(thetas_arr) & (thetas_arr > 0)):
             raise InputError("storage costs must be finite and > 0")
         # d/dS [g_p(Ap - S) + g_o(Ao + S)] per outcome
@@ -382,17 +379,14 @@ class _PlanModel:
                 users = None
         return capacities
 
-    def plan(
-        self, capacities: np.ndarray, iterations: int, residual: float | None = None
-    ) -> SocialPlan:
+    def plan(self, capacities: np.ndarray, iterations: int, limit: float = math.nan) -> SocialPlan:
         """The plan of the given capacities, costed as lossless, non-degrading
-        storage on inelastic demand. residual is the capacities' optimality
-        residual if the caller has it; it is computed otherwise."""
+        storage on inelastic demand, with their optimality residual and the
+        residual limit they were solved to."""
         scenarios = self.scenarios
         headroom = self.headroom(capacities)
         charges = _greedy_charges(capacities, scenarios.peak, np.clip(self.targets, 0.0, headroom))
-        if residual is None:
-            residual = float(self.violations(capacities, headroom).max(initial=0.0))
+        residual = float(self.violations(capacities, headroom).max(initial=0.0))
         ones, zeros = np.ones_like(self.thetas), np.zeros_like(self.thetas)
         lossless = _SpecArrays(self.thetas, ones, ones, zeros, zeros, zeros + np.nan)
         breakdown = _social_cost_arrays(
@@ -405,6 +399,7 @@ class _PlanModel:
             social_cost=breakdown,
             iterations=iterations,
             optimality_residual=residual,
+            residual_limit=limit,
         )
 
 
@@ -507,14 +502,11 @@ def solve_so(
     limit = float(settings.tolerance * scale)
     capacities = model.one_price_start()
     demand = model.demand
-    sweeps, residual = 0, None
+    sweeps = 0
     for sweeps in range(1, settings.max_iterations + 1):
-        # Summed as the plan sums it, so the residual it is handed is the
-        # one it would compute.
         total = model.headroom(capacities)
         violations = model.violations(capacities, total)
         if violations.max() <= limit:
-            residual = float(violations.max())
             break
         # One row per user: its share min(c_i, d_wi) of headroom.
         bound = np.minimum(capacities[:, None], demand)
@@ -524,10 +516,7 @@ def solve_so(
             np.minimum(capacities[i], demand[i], out=bound[i])
             np.add(rest, bound[i], out=total)
         capacities = model.newton_moves(capacities)
-    # Past max_iterations the capacities have moved since their last check,
-    # so the plan computes their residual itself.
-    plan = model.plan(capacities, sweeps, residual)
-    plan.residual_limit = limit
+    plan = model.plan(capacities, sweeps, limit)
     if not plan.optimality_residual <= limit:
         raise ConvergenceError(
             f"planner residual {plan.optimality_residual!r} above its limit {limit!r} "
@@ -651,5 +640,5 @@ def validate_structure_pricing(
     """
     entities = scenarios.entities
     capacities = {e: r.capacity for e, r in responses.items()}
-    shifted = np.column_stack([responses[e].shifted for e in entities])
+    shifted = np.column_stack([r.shifted for r in scenarios.per_entity(responses, "responses")])
     return _validate_structure(capacities, thetas, entities, scenarios.peak - shifted, False)

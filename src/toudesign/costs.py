@@ -106,21 +106,13 @@ def two_period_supply_cost(
     )
 
 
-def _response_arrays(
-    scenarios: ScenarioSet,
-    specs: Mapping[str, StorageSpec],
-    responses: Mapping[str, ResponseProfile],
-):
+def _response_arrays(scenarios: ScenarioSet, responses: Mapping[str, ResponseProfile]):
     n = scenarios.n_outcomes
     caps = np.zeros(scenarios.n_entities)
     charge = np.zeros((n, scenarios.n_entities))
     shifted = np.zeros_like(charge)
-    for j, entity in enumerate(scenarios.entities):
-        if entity not in specs:
-            raise InputError(f"no storage spec for entity {entity!r}")
-        if entity not in responses:
-            raise InputError(f"no response for entity {entity!r}")
-        profile = responses[entity]
+    profiles = scenarios.per_entity(responses, "responses")
+    for j, (entity, profile) in enumerate(zip(scenarios.entities, profiles)):
         s = np.asarray(profile.charge, dtype=float)
         q = np.asarray(profile.shifted, dtype=float)
         if s.shape != (n,) or q.shape != (n,):
@@ -179,8 +171,8 @@ def social_cost(
     entities' specs and profiles into arrays and, unless told not to, checks
     every response for feasibility first.
     """
-    caps, charge, shifted = _response_arrays(scenarios, specs, responses)
-    arr = _SpecArrays.of([specs[e] for e in scenarios.entities])
+    arr = _SpecArrays.of(scenarios.per_entity(specs, "storage specs"))
+    caps, charge, shifted = _response_arrays(scenarios, responses)
     if check_feasibility:
         _check_feasible(scenarios, arr, caps, charge, shifted)
     return _social_cost_arrays(scenarios, arr, caps, charge, shifted, periods, supply)

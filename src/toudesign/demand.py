@@ -14,7 +14,7 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Mapping
+from typing import Mapping, TypeVar
 
 import numpy as np
 
@@ -24,6 +24,7 @@ PROB_TOL = 1e-9
 # The C reader keeps day and entity names as bytes (a quarter of the memory
 # of str); names this long or longer, or not ASCII, go to the row parser.
 _KEY_WIDTH = 40
+_V = TypeVar("_V")
 
 
 @dataclass(frozen=True)
@@ -117,31 +118,21 @@ class ScenarioSet:
     def n_entities(self) -> int:
         return len(self.entities)
 
-    def entity_index(self, entity: str) -> int:
-        try:
-            return self.entities.index(entity)
-        except ValueError:
-            raise InputError(f"unknown entity {entity!r}") from None
-
-    def entity_peak(self, entity: str) -> np.ndarray:
-        return self.peak[:, self.entity_index(entity)]
-
     def aggregate_peak(self) -> np.ndarray:
         return self.peak.sum(axis=1)
 
     def aggregate_offpeak(self) -> np.ndarray:
         return self.offpeak.sum(axis=1)
 
-    def mean_peak(self, entity: str) -> float:
-        return float(self.probs @ self.entity_peak(entity))
-
-    def equals(self, other: "ScenarioSet") -> bool:
-        return (
-            self.entities == other.entities
-            and np.array_equal(self.probs, other.probs)
-            and np.array_equal(self.peak, other.peak)
-            and np.array_equal(self.offpeak, other.offpeak)
-        )
+    def per_entity(self, mapping: Mapping[str, _V], what: str) -> list[_V]:
+        """The mapping's values in entity order. A mapping that lacks an
+        entity raises InputError("missing {what} for [...]"), naming every
+        entity it lacks."""
+        try:
+            return [mapping[e] for e in self.entities]
+        except KeyError:
+            missing = [e for e in self.entities if e not in mapping]
+            raise InputError(f"missing {what} for {missing}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,20 +285,12 @@ def aggregate_by_type(s: ScenarioSet, grouping: Mapping[str, str]) -> ScenarioSe
     first appearance in the entity list, which makes an identity grouping
     a no-op.
     """
-    missing = [e for e in s.entities if e not in grouping]
-    if missing:
-        raise InputError(f"grouping is missing entities {missing}")
-    types: list[str] = []
     members: dict[str, list[int]] = {}
-    for j, entity in enumerate(s.entities):
-        t = str(grouping[entity])
-        if t not in members:
-            types.append(t)
-            members[t] = []
-        members[t].append(j)
-    peak = np.column_stack([s.peak[:, members[t]].sum(axis=1) for t in types])
-    offpeak = np.column_stack([s.offpeak[:, members[t]].sum(axis=1) for t in types])
-    return ScenarioSet(tuple(types), s.probs, peak, offpeak)
+    for j, t in enumerate(map(str, s.per_entity(grouping, "types"))):
+        members.setdefault(t, []).append(j)
+    peak = np.column_stack([s.peak[:, cols].sum(axis=1) for cols in members.values()])
+    offpeak = np.column_stack([s.offpeak[:, cols].sum(axis=1) for cols in members.values()])
+    return ScenarioSet(tuple(members), s.probs, peak, offpeak)
 
 
 def adjust_variance(s: ScenarioSet, delta_d: float) -> ScenarioSet:

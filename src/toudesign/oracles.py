@@ -3,10 +3,10 @@
 Each oracle reaches its answer without the fast path it checks: the
 newsvendor enumeration tries every candidate capacity, the dense-grid check
 evaluates the social cost on a uniform price grid, and the brute-force
-planner searches a capacity grid. `verify_suite` runs them, with the scheme
-ordering and structure checks, on seeded random instances; the `verify`
-command reports it, `optimize --verify-grid` runs the grid check and the
-tests share the same functions.
+planner searches a capacity grid. `verify_suite` runs the first two, with
+the scheme ordering and structure checks, on seeded random instances, and
+the `verify` command reports it; only the tests run the brute-force planner
+and the tightness instance. `optimize --verify-grid` runs the grid check.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ def brute_force_so(
     never worsens the result). The closed-form clamped aggregate charge is
     used inside. Rejects instances with more than 3 users or 4 outcomes.
     """
-    if grid_step <= 0:
-        raise InputError("grid_step must be > 0")
+    if not 0 < grid_step < np.inf:
+        raise InputError("grid_step must be finite and > 0")
     if scenarios.n_entities > 3 or scenarios.n_outcomes > 4:
         raise InputError("brute force is limited to 3 users and 4 outcomes")
     model = _PlanModel.of(scenarios, thetas, periods, supply)

@@ -39,7 +39,7 @@ from .response import (
     _steps_bought,
     equivalent_transform,
 )
-from .scan import _CURVE_BLOCK, _best_responses, _profiles, _StepEvents
+from .scan import _CURVE_BLOCK, _best_responses, _StepEvents
 
 DEFAULT_EPSILON = 1e-6
 
@@ -88,6 +88,8 @@ class PricingResult:
 
 
 def _auto_epsilon(candidates: np.ndarray) -> float:
+    # Rungs within 1e-9 of zero (storage costs that small) merge into the
+    # zero candidate and leave no gap.
     if candidates.size < 2:
         return DEFAULT_EPSILON
     gap = float(np.diff(candidates).min())
@@ -186,7 +188,7 @@ def _search(
         best_price=price,
         scheme=scheme,
         social_cost=sc,
-        responses=_profiles(user_scenarios.entities, caps, charge, shifted),
+        responses=ResponseProfile._batch(user_scenarios.entities, caps, charge.T, shifted.T),
         trace=trace,
         scan_cost=scan_cost,
         n_candidates=n_candidates,
@@ -260,17 +262,18 @@ def social_cost_curve(
     Long arrays are evaluated in blocks of _CURVE_BLOCK points, so memory
     stays O(block x outcomes) whatever the number of price differences.
     """
+    spec_list = scenarios.per_entity(specs, "storage specs")
     pds = np.asarray(p_deltas, dtype=float)
     out = np.empty(pds.shape[0])
     for start in range(0, pds.shape[0], _CURVE_BLOCK):
         block = pds[start : start + _CURVE_BLOCK]
         out[start : start + block.shape[0]] = _curve_block(
-            scenarios, specs, periods, supply, block, p_offpeak
+            scenarios, spec_list, periods, supply, block, p_offpeak
         )
     return out
 
 
-def _curve_block(scenarios, specs, periods, supply, pds, p_offpeak):
+def _curve_block(scenarios, spec_list, periods, supply, pds, p_offpeak):
     n_grid = pds.shape[0]
     peak_load = np.repeat(scenarios.aggregate_peak()[None, :], n_grid, axis=0)
     off_load = np.repeat(scenarios.aggregate_offpeak()[None, :], n_grid, axis=0)
@@ -278,8 +281,7 @@ def _curve_block(scenarios, specs, periods, supply, pds, p_offpeak):
     degradation = np.zeros(n_grid)
     shift_cost = np.zeros(n_grid)
     probs = scenarios.probs
-    for j, entity in enumerate(scenarios.entities):
-        spec = specs[entity]
+    for j, spec in enumerate(spec_list):
         peak = scenarios.peak[:, j]
         loss = spec.eta_c * spec.eta_d
         tr = equivalent_transform(spec, p_offpeak, pds)
@@ -336,18 +338,19 @@ def evaluate_lambda(
         raise InputError("price differences must be finite")
     if not np.all(np.isfinite(tbs) & (tbs > 0)):
         raise InputError("mean storage costs must be finite and > 0")
-    base_mean = float(np.mean([specs[e].theta for e in scenarios.entities]))
+    spec_list = scenarios.per_entity(specs, "storage specs")
+    base_mean = float(np.mean([s.theta for s in spec_list]))
     out = np.empty((pds.size, tbs.size))
     denom = None
     for jj, tb in enumerate(tbs):
         scale = tb / base_mean
         scaled = {
             e: replace(
-                specs[e],
-                theta=specs[e].theta * scale,
-                e_shift=None if specs[e].e_shift is None else specs[e].e_shift * scale,
+                s,
+                theta=s.theta * scale,
+                e_shift=None if s.e_shift is None else s.e_shift * scale,
             )
-            for e in scenarios.entities
+            for e, s in zip(scenarios.entities, spec_list)
         }
         # Evaluating the no-shift point through the same vectorized call keeps
         # the denominator bit-identical to the zero-response numerator.

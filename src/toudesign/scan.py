@@ -22,7 +22,7 @@ import numpy as np
 
 from .costs import two_period_supply_cost
 from .demand import ScenarioSet
-from .response import ResponseProfile, _SpecArrays, equivalent_transform
+from .response import _SpecArrays, equivalent_transform
 
 _CURVE_BLOCK = 1024  # rows per block: price differences of social_cost_curve, sweep events
 
@@ -47,7 +47,7 @@ class _StepEvents:
     """
 
     def __init__(self, scenarios: ScenarioSet, specs):
-        spec_list = [specs[e] for e in scenarios.entities]
+        spec_list = scenarios.per_entity(specs, "storage specs")
         arr = self.arr = _SpecArrays.of(spec_list)
         self.n = scenarios.n_entities
         el = self.elastic = np.flatnonzero(~np.isnan(arr.e_shift))
@@ -184,8 +184,3 @@ def _best_responses(price, scenarios: ScenarioSet, arr: _SpecArrays):
     bought = (tr.theta / tails < tr.p_delta).sum(axis=0)
     cap_dag = np.where(bought > 0, steps[bought - 1, np.arange(peak.shape[1])], 0.0)
     return arr.eta_c * cap_dag, np.minimum(cap_dag, demand), shifted
-
-
-def _profiles(entities, capacity, charge, shifted) -> dict[str, ResponseProfile]:
-    """One `ResponseProfile` per entity from `_best_responses`' arrays."""
-    return ResponseProfile._batch(entities, capacity, charge.T, shifted.T)

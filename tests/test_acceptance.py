@@ -21,7 +21,6 @@ from toudesign import (
     TouPrice,
     adjust_variance,
     aggregate_by_type,
-    brute_force_so,
     capacity_curve,
     compute_ratios,
     daily_cost_factor,
@@ -37,12 +36,16 @@ from toudesign import (
     so_zero_cost,
     synthetic_grouping,
     threshold_set_extended,
-    tightness_instance,
     user_specs_from_grouping,
     validate_structure_pricing,
     validate_structure_so,
 )
-from toudesign.oracles import newsvendor_cost, newsvendor_enumeration
+from toudesign.oracles import (
+    brute_force_so,
+    newsvendor_cost,
+    newsvendor_enumeration,
+    tightness_instance,
+)
 
 HALF_DAY = PeriodStructure(frozenset(range(12)))
 EVENING = PeriodStructure(frozenset({18, 19, 20, 21, 22, 23, 0}))

@@ -17,8 +17,8 @@ from toudesign import (
     SolverSettings,
     StorageSpec,
     SupplyCostParams,
+    TouPrice,
     aggregate_by_type,
-    brute_force_so,
     compute_ratios,
     no_storage_cost,
     optimize_price_difference,
@@ -27,7 +27,6 @@ from toudesign import (
     social_cost,
     so_zero_cost,
     solve_so,
-    tightness_instance,
     validate_structure_pricing,
     validate_structure_so,
 )
@@ -43,6 +42,7 @@ from toudesign.benchmark import (
 )
 from toudesign.cli import _json_default
 from toudesign.costs import two_period_supply_cost
+from toudesign.oracles import brute_force_so, tightness_instance
 
 from conftest import HALF_DAY, random_scenarios
 
@@ -557,6 +557,22 @@ def test_pricing_validator_bounds_a_shifting_user_on_its_residual_support():
     ]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: the validators bound capacity by raw peak demand, "
+    "but lossy storage holds up to peak / eta_d to deliver the peak",
+)
+def test_pricing_validator_allows_a_lossy_user_its_stored_peak():
+    # At a price difference of 20 the user buys for its largest outcome:
+    # 6 / 0.9 = 6.667 MWh stored, which delivers 6 MWh of peak demand.
+    peak = np.array([[4.0], [6.0]])
+    scen = ScenarioSet(("u",), np.array([0.5, 0.5]), peak, np.zeros_like(peak))
+    spec = StorageSpec(1.0, eta_c=0.9, eta_d=0.9)
+    response = respond(spec, TouPrice(20.0, 0.0), scen.probs, peak[:, 0])
+    assert response.capacity == pytest.approx(6.0 / 0.9)
+    assert validate_structure_pricing({"u": response}, {"u": 1.0}, scen).violations == []
+
+
 def test_validators_pass_on_solver_outputs(quadratic_supply):
     rng = np.random.default_rng(8)
     for _ in range(40):
@@ -629,8 +645,9 @@ def test_brute_force_respects_size_limits(quadratic_supply):
     with pytest.raises(InputError):
         brute_force_so(scen, thetas_for(scen, [1, 1, 1, 1]), HALF_DAY, quadratic_supply, 0.5)
     scen2 = random_scenarios(rng, 2, 2)
-    with pytest.raises(InputError):
-        brute_force_so(scen2, thetas_for(scen2, [1, 1]), HALF_DAY, quadratic_supply, -1.0)
+    for step in (-1.0, np.nan, np.inf):
+        with pytest.raises(InputError, match="grid_step must be finite and > 0"):
+            brute_force_so(scen2, thetas_for(scen2, [1, 1]), HALF_DAY, quadratic_supply, step)
 
 
 def test_brute_force_huge_theta(quadratic_supply):

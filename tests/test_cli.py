@@ -549,6 +549,29 @@ def test_non_finite_sweep_grid_value_names_its_key(tmp_path, capsys, axis, value
     assert (meta["exit_status"], meta["outputs"]) == (2, [])
 
 
+@pytest.mark.parametrize(
+    "axis, sweeps, message",
+    [
+        ("theta_bar", {"theta_bar": []}, "sweeps.theta_bar grid is empty"),
+        (
+            "lambda",
+            {"p_delta": [], "theta_bar": [1.0]},
+            "lambda sweep needs sweeps.p_delta and sweeps.theta_bar grids",
+        ),
+        ("elastic_fraction", {"elastic_fraction": []}, "sweeps.elastic_fraction grid is empty"),
+    ],
+    ids=["theta_bar", "lambda", "elastic_fraction"],
+)
+def test_empty_sweep_grid_is_refused(tmp_path, capsys, axis, sweeps, message):
+    cfg = write_config(tmp_path, {"sweeps": sweeps})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--axis", axis]) == 2
+    err = capsys.readouterr().err
+    assert err == f"invalid input: {message}\n", err
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert (meta["command"], meta["exit_status"], meta["outputs"]) == (f"sweep:{axis}", 2, [])
+
+
 def test_benchmark_records_the_planner_certificate_in_run_meta(tmp_path, monkeypatch):
     import toudesign.cli as cli_mod
 

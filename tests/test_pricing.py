@@ -18,6 +18,7 @@ from toudesign import (
     respond,
     social_cost,
     social_cost_curve,
+    solve_so,
     threshold_set_extended,
     validate_structure_pricing,
 )
@@ -26,7 +27,7 @@ from toudesign.oracles import grid_check
 from toudesign import pricing as pricing_module
 from toudesign.pricing import _CURVE_BLOCK, user_specs_from_grouping
 from toudesign.response import ResponseProfile, _SpecArrays
-from toudesign.scan import _StepEvents, _best_responses, _profiles
+from toudesign.scan import _StepEvents, _best_responses
 
 from conftest import HALF_DAY, random_scenarios, random_specs
 
@@ -164,6 +165,18 @@ def test_degenerate_market_returns_epsilon_price(quadratic_supply):
         scen, specs, HALF_DAY, quadratic_supply, np.array([0.0])
     )[0]
     assert result.social_cost.total == no_investment
+
+
+def test_storage_costs_below_the_merge_tolerance_leave_one_candidate(quadratic_supply):
+    # Both rungs, 1e-12 and 2e-12, merge into the zero candidate: with no
+    # gap left the scan evaluates one point at the default epsilon.
+    peak = np.array([[4.0], [6.0]])
+    scen = ScenarioSet(("u",), np.array([0.5, 0.5]), peak, np.zeros_like(peak))
+    specs = {"u": StorageSpec(theta=1e-12)}
+    result = optimize_price_difference(scen, specs, None, None, HALF_DAY, quadratic_supply)
+    assert (result.n_candidates, result.epsilon) == (1, pricing_module.DEFAULT_EPSILON)
+    assert result.best_price == TouPrice(pricing_module.DEFAULT_EPSILON, 0.0)
+    assert result.responses["u"].capacity == 6.0
 
 
 def test_single_user_single_type_schemes_coincide(quadratic_supply):
@@ -421,6 +434,50 @@ def test_lambda_rejects_a_non_finite_mean_storage_cost(bad):
         evaluate_lambda([1.0], [1.0, bad], scen, specs, HALF_DAY, SupplyCostParams(1.0))
 
 
+PAIR = ScenarioSet(
+    ("a", "b"), np.array([0.5, 0.5]), np.array([[4.0, 1.0], [6.0, 2.0]]), np.zeros((2, 2))
+)
+PAIR_SPECS = {"a": StorageSpec(theta=1.0), "b": StorageSpec(theta=2.0)}
+A_SPECS = {"a": PAIR_SPECS["a"]}
+ONE = SupplyCostParams(1.0)
+
+
+def _pair_responses():
+    return optimize_price_difference(PAIR, PAIR_SPECS, None, None, HALF_DAY, ONE).responses
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda: optimize_price_difference(PAIR, A_SPECS, None, None, HALF_DAY, ONE),
+         "storage specs"),
+        (lambda: optimize_prices_extended(
+            PAIR, A_SPECS, None, None, HALF_DAY, ONE, (0.0, 1.0), 2
+        ), "storage specs"),
+        (lambda: social_cost_curve(PAIR, A_SPECS, HALF_DAY, ONE, [0.0, 1.0]), "storage specs"),
+        (lambda: evaluate_lambda([1.0], [1.0], PAIR, A_SPECS, HALF_DAY, ONE), "storage specs"),
+        (lambda: social_cost(PAIR, A_SPECS, _pair_responses(), HALF_DAY, ONE), "storage specs"),
+        (lambda: social_cost(
+            PAIR, PAIR_SPECS, {"a": _pair_responses()["a"]}, HALF_DAY, ONE
+        ), "responses"),
+        (lambda: validate_structure_pricing(
+            {"a": _pair_responses()["a"]}, {"a": 1.0, "b": 2.0}, PAIR
+        ), "responses"),
+        (lambda: aggregate_by_type(PAIR, {"a": "t"}), "types"),
+        (lambda: solve_so(PAIR, {"a": 1.0}, HALF_DAY, ONE), "storage costs"),
+    ],
+    ids=[
+        "optimize_price_difference", "optimize_prices_extended", "social_cost_curve",
+        "evaluate_lambda", "social_cost-specs", "social_cost-responses",
+        "validate_structure_pricing", "aggregate_by_type", "solve_so",
+    ],
+)
+def test_entry_points_name_the_entity_a_mapping_lacks(call, what):
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == f"missing {what} for ['b']"
+
+
 def test_scan_vs_grid_with_elastic_demand(quadratic_supply):
     rng = np.random.default_rng(119)
     for _ in range(15):
@@ -648,7 +705,8 @@ def _respond_all(price, scenarios, specs):
     """Every entity's `respond` to the tariff through the search's array pass,
     each profile bit-identical to `respond`'s."""
     arr = _SpecArrays.of([specs[e] for e in scenarios.entities])
-    return _profiles(scenarios.entities, *_best_responses(price, scenarios, arr))
+    caps, charge, shifted = _best_responses(price, scenarios, arr)
+    return ResponseProfile._batch(scenarios.entities, caps, charge.T, shifted.T)
 
 
 def _assert_profiles_equal_respond(scen, specs, price, responses):
