@@ -36,6 +36,7 @@ import numpy as np
 from .costs import (
     SocialCostBreakdown,
     SupplyCostParams,
+    _response_arrays,
     _social_cost_arrays,
     two_period_supply_cost,
 )
@@ -562,50 +563,44 @@ def compute_ratios(
 
 
 def _validate_structure(
-    capacities: Mapping[str, float],
-    thetas: Mapping[str, float],
     entities: tuple[str, ...],
+    capacities: np.ndarray,
+    thetas: np.ndarray,
     support: np.ndarray,
     boundary_class: bool,
 ) -> StructureReport:
-    """The structure rules on capacities, each user's peak support being
-    its column of the (outcome x entity) support matrix."""
+    """The structure rules on entity-aligned capacities and storage costs,
+    each user's peak support being its column of the (outcome x entity)
+    support matrix."""
     atol = 1e-7 * max(1.0, float(support.max()))
-    violations = []
-    invested = {}
-    exempt = set()
-    lows = dict(zip(entities, support.min(axis=0).tolist()))
-    for e, hi in zip(entities, support.max(axis=0).tolist()):
-        c = capacities[e]
-        invested[e] = c > atol
-        if lows[e] <= atol:
-            exempt.add(e)
-        if c > hi + atol:
-            violations.append(f"user {e}: capacity {c} above max peak support {hi}")
-    investor_costs = sorted({thetas[e] for e, inv in invested.items() if inv})
-    if investor_costs:
-        boundary = investor_costs[-1]
-        for cost in sorted({thetas[e] for e in invested}):
-            if cost >= boundary or cost in investor_costs:
-                continue
-            users = [e for e in invested if thetas[e] == cost and e not in exempt]
-            if users:
-                violations.append(
-                    f"cost level {cost} below invested level {boundary} has no investor "
-                    f"(users {users})"
-                )
-        for e in entities:
-            c = capacities[e]
-            lo = lows[e]
-            # A boundary class may size anywhere, so only costs below it count.
-            below = thetas[e] < boundary if boundary_class else thetas[e] <= boundary
-            if below and e not in exempt and c < lo - atol:
-                what = (
-                    "non-boundary investor capacity"
-                    if boundary_class
-                    else f"invested cost level {thetas[e]} but capacity"
-                )
-                violations.append(f"user {e}: {what} {c} below min peak support {lo}")
+    lows, highs = support.min(axis=0), support.max(axis=0)
+    violations = [
+        f"user {entities[j]}: capacity {capacities[j]} above max peak support {highs[j]}"
+        for j in np.flatnonzero(capacities > highs + atol)
+    ]
+    invested = capacities > atol
+    if not invested.any():
+        return StructureReport(violations)
+    boundary = thetas[invested].max()
+    exempt = lows <= atol
+    # Users below the boundary at a cost level no investor holds; a valid
+    # structure has none, so the level search runs only on a violation.
+    unfilled = (thetas < boundary) & ~invested & ~exempt
+    if unfilled.any():
+        unfilled &= ~np.isin(thetas, thetas[invested])
+        for cost in np.unique(thetas[unfilled]):
+            users = [entities[j] for j in np.flatnonzero(unfilled & (thetas == cost))]
+            violations.append(
+                f"cost level {cost} below invested level {boundary} has no investor "
+                f"(users {users})"
+            )
+    # A boundary class may size anywhere, so only costs below it count.
+    below = thetas < boundary if boundary_class else thetas <= boundary
+    for j in np.flatnonzero(below & ~exempt & (capacities < lows - atol)):
+        what = "non-boundary investor" if boundary_class else f"invested cost level {thetas[j]} but"
+        violations.append(
+            f"user {entities[j]}: {what} capacity {capacities[j]} below min peak support {lows[j]}"
+        )
     return StructureReport(violations)
 
 
@@ -622,7 +617,9 @@ def validate_structure_so(
     lower peak support is zero are exempt from the prefix requirement since
     extra capacity can be worthless to them regardless of cost.
     """
-    return _validate_structure(plan.capacities, thetas, scenarios.entities, scenarios.peak, True)
+    capacities = np.array(scenarios.per_entity(plan.capacities, "capacities"), dtype=float)
+    costs = np.array(scenarios.per_entity(thetas, "storage costs"), dtype=float)
+    return _validate_structure(scenarios.entities, capacities, costs, scenarios.peak, True)
 
 
 def validate_structure_pricing(
@@ -638,7 +635,8 @@ def validate_structure_pricing(
     user that shifts elastic demand sizes on its residual peak, so its
     support is peak demand less its profile's shifted load.
     """
-    entities = scenarios.entities
-    capacities = {e: r.capacity for e, r in responses.items()}
-    shifted = np.column_stack([r.shifted for r in scenarios.per_entity(responses, "responses")])
-    return _validate_structure(capacities, thetas, entities, scenarios.peak - shifted, False)
+    capacities, _, shifted = _response_arrays(scenarios, responses)
+    costs = np.array(scenarios.per_entity(thetas, "storage costs"), dtype=float)
+    return _validate_structure(
+        scenarios.entities, capacities, costs, scenarios.peak - shifted, False
+    )

@@ -260,11 +260,9 @@ def cmd_benchmark(
         f"kappa_no={ratios.kappa_no:.6f}"
     )
     for name, report in reports.items():
-        if not report.ok:
-            for v in report.violations:
-                print(f"structure violation [{name}]: {v}", file=sys.stderr)
-            return 3
-    return 0
+        for v in report.violations:
+            print(f"structure violation [{name}]: {v}", file=sys.stderr)
+    return 0 if all(report.ok for report in reports.values()) else 3
 
 
 def _record_plan(metrics: dict | None, plan: SocialPlan) -> None:

@@ -535,6 +535,56 @@ def test_validator_messages_and_their_order():
     ]
 
 
+@pytest.mark.parametrize(
+    "entities, peak, thetas, capacities, so_violations, pricing_violations",
+    [
+        # The planner's boundary class (b) sizes freely, the tariff's does
+        # not; c, above the boundary, holds nothing in either.
+        (
+            "abc", [[2.0, 3.0, 1.0], [6.0, 7.0, 2.0]], [0.2, 0.5, 0.9], [4.0, 1.0, 0.0],
+            [],
+            ["user b: invested cost level 0.5 but capacity 1.0 below min peak support 3.0"],
+        ),
+        # a is exempt, being alone at an unfilled level with zero lower support.
+        ("ab", [[0.0, 3.0], [5.0, 7.0]], [0.2, 0.5], [0.0, 4.0], [], []),
+        # c and d tie at one unfilled level: one message names both.
+        (
+            "bcd", [[3.0, 2.0, 1.0], [7.0, 6.0, 5.0]], [0.5, 0.2, 0.2], [4.0, 0.0, 0.0],
+            [
+                "cost level 0.2 below invested level 0.5 has no investor (users ['c', 'd'])",
+                "user c: non-boundary investor capacity 0.0 below min peak support 2.0",
+                "user d: non-boundary investor capacity 0.0 below min peak support 1.0",
+            ],
+            [
+                "cost level 0.2 below invested level 0.5 has no investor (users ['c', 'd'])",
+                "user c: invested cost level 0.2 but capacity 0.0 below min peak support 2.0",
+                "user d: invested cost level 0.2 but capacity 0.0 below min peak support 1.0",
+            ],
+        ),
+        # With no investor there is no boundary, so no level is unfilled.
+        ("ab", [[2.0, 3.0], [6.0, 7.0]], [0.2, 0.5], [0.0, 0.0], [], []),
+    ],
+    ids=["boundary-class", "exempt-alone", "tied-level", "no-investor"],
+)
+def test_validator_rules_at_their_edges(
+    entities, peak, thetas, capacities, so_violations, pricing_violations
+):
+    peak = np.array(peak)
+    scen = ScenarioSet(tuple(entities), np.array([0.5, 0.5]), peak, np.zeros_like(peak))
+    thetas = dict(zip(entities, thetas))
+    capacities = dict(zip(entities, capacities))
+    plan = SocialPlan(
+        capacities=capacities,
+        charges={e: np.zeros(2) for e in entities},
+        social_cost=no_storage_cost(scen, HALF_DAY, SupplyCostParams(1.0)),
+    )
+    responses = {
+        e: ResponseProfile(c, np.zeros(2), np.zeros(2)) for e, c in capacities.items()
+    }
+    assert validate_structure_so(plan, thetas, scen).violations == so_violations
+    assert validate_structure_pricing(responses, thetas, scen).violations == pricing_violations
+
+
 def test_pricing_validator_bounds_a_shifting_user_on_its_residual_support():
     # "a" shifts a quarter of its peak and sizes on the residual [3.0, 4.5];
     # "b" shifts nothing and keeps its full peak support.

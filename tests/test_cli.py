@@ -892,18 +892,23 @@ def test_shipped_example_config_parses():
     assert keys(yaml.safe_load(path.read_text())) == keys(ExperimentConfig().snapshot())
 
 
-def test_structure_violation_exit_code(tmp_path, monkeypatch):
+def test_structure_violation_exit_code(tmp_path, monkeypatch, capsys):
     import toudesign.cli as cli_mod
     from toudesign.benchmark import StructureReport
 
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
-    monkeypatch.setattr(
-        cli_mod,
-        "validate_structure_so",
-        lambda *a, **k: StructureReport(violations=["synthetic failure"]),
-    )
+    for name in ("validate_structure_so", "validate_structure_pricing"):
+        monkeypatch.setattr(
+            cli_mod, name, lambda *a, name=name, **k: StructureReport(violations=[name])
+        )
     assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 3
+    # Every failing scheme is reported, not only the first.
+    assert capsys.readouterr().err.splitlines() == [
+        "structure violation [so]: validate_structure_so",
+        "structure violation [pt]: validate_structure_pricing",
+        "structure violation [pi]: validate_structure_pricing",
+    ]
 
 
 def test_optimize_records_scan_counts_in_run_meta(tmp_path, monkeypatch):

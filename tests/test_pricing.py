@@ -21,6 +21,7 @@ from toudesign import (
     solve_so,
     threshold_set_extended,
     validate_structure_pricing,
+    validate_structure_so,
 )
 
 from toudesign.oracles import grid_check
@@ -465,17 +466,41 @@ def _pair_responses():
         ), "responses"),
         (lambda: aggregate_by_type(PAIR, {"a": "t"}), "types"),
         (lambda: solve_so(PAIR, {"a": 1.0}, HALF_DAY, ONE), "storage costs"),
+        (lambda: validate_structure_so(
+            solve_so(PAIR, {"a": 1.0, "b": 2.0}, HALF_DAY, ONE), {"a": 1.0}, PAIR
+        ), "storage costs"),
+        (lambda: validate_structure_pricing(_pair_responses(), {"a": 1.0}, PAIR),
+         "storage costs"),
     ],
     ids=[
         "optimize_price_difference", "optimize_prices_extended", "social_cost_curve",
         "evaluate_lambda", "social_cost-specs", "social_cost-responses",
         "validate_structure_pricing", "aggregate_by_type", "solve_so",
+        "validate_structure_so-costs", "validate_structure_pricing-costs",
     ],
 )
 def test_entry_points_name_the_entity_a_mapping_lacks(call, what):
     with pytest.raises(InputError) as err:
         call()
     assert str(err.value) == f"missing {what} for ['b']"
+
+
+@pytest.mark.parametrize("n_outcomes", [1, 3])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda responses: social_cost(PAIR, PAIR_SPECS, responses, HALF_DAY, ONE),
+        lambda responses: validate_structure_pricing(responses, {"a": 1.0, "b": 2.0}, PAIR),
+    ],
+    ids=["social_cost", "validate_structure_pricing"],
+)
+def test_entry_points_refuse_a_response_that_misses_outcomes(call, n_outcomes):
+    # PAIR has two outcomes: a profile of one would broadcast against them
+    # unnoticed, and a profile of three would fail inside numpy.
+    partial = ResponseProfile(1.0, np.zeros(n_outcomes), np.zeros(n_outcomes))
+    with pytest.raises(InputError) as err:
+        call({"a": partial, "b": _pair_responses()["b"]})
+    assert str(err.value) == "response for entity 'a' must cover all 2 outcomes"
 
 
 def test_scan_vs_grid_with_elastic_demand(quadratic_supply):
