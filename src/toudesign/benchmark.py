@@ -568,10 +568,12 @@ def _validate_structure(
     thetas: np.ndarray,
     support: np.ndarray,
     boundary_class: bool,
+    slack: float = 0.0,
 ) -> StructureReport:
     """The structure rules on entity-aligned capacities and storage costs,
     each user's peak support being its column of the (outcome x entity)
-    support matrix."""
+    support matrix. The rules on users below the boundary cost count only
+    those more than slack below it."""
     atol = 1e-7 * max(1.0, float(support.max()))
     lows, highs = support.min(axis=0), support.max(axis=0)
     violations = [
@@ -585,7 +587,7 @@ def _validate_structure(
     exempt = lows <= atol
     # Users below the boundary at a cost level no investor holds; a valid
     # structure has none, so the level search runs only on a violation.
-    unfilled = (thetas < boundary) & ~invested & ~exempt
+    unfilled = (thetas < boundary - slack) & ~invested & ~exempt
     if unfilled.any():
         unfilled &= ~np.isin(thetas, thetas[invested])
         for cost in np.unique(thetas[unfilled]):
@@ -595,7 +597,7 @@ def _validate_structure(
                 f"(users {users})"
             )
     # A boundary class may size anywhere, so only costs below it count.
-    below = thetas < boundary if boundary_class else thetas <= boundary
+    below = thetas < boundary - slack if boundary_class else thetas <= boundary
     for j in np.flatnonzero(below & ~exempt & (capacities < lows - atol)):
         what = "non-boundary investor" if boundary_class else f"invested cost level {thetas[j]} but"
         violations.append(
@@ -616,10 +618,25 @@ def validate_structure_so(
     the boundary cost hold nothing by definition of the boundary. Users whose
     lower peak support is zero are exempt from the prefix requirement since
     extra capacity can be worthless to them regardless of cost.
+
+    A plan is optimal only to its residual r: every one-sided partial
+    derivative it violates is at most r. A user i held below its min support
+    (or at zero) has every outcome above its capacity, so its right
+    derivative gives theta_i >= -E[min(0, m)] - r, m_w being the marginal
+    supply cost of moving load off-peak in outcome w; the boundary
+    investor's left derivative gives theta_b <= -E[min(0, m)] + r. So
+    theta_b - theta_i <= 2r, and the two rules on users below the boundary
+    report only a gap above 2r plus a rounding margin of 1e-3 of the
+    residual limit. A plan without a residual or limit (NaN) keeps the exact
+    rules.
     """
     capacities = np.array(scenarios.per_entity(plan.capacities, "capacities"), dtype=float)
     costs = np.array(scenarios.per_entity(thetas, "storage costs"), dtype=float)
-    return _validate_structure(scenarios.entities, capacities, costs, scenarios.peak, True)
+    slack = 2.0 * plan.optimality_residual + 1e-3 * plan.residual_limit
+    return _validate_structure(
+        scenarios.entities, capacities, costs, scenarios.peak, True,
+        slack if math.isfinite(slack) else 0.0,
+    )
 
 
 def validate_structure_pricing(

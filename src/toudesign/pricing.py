@@ -66,10 +66,10 @@ class PricingResult:
 
     responses holds each individual user's profile at the chosen tariff and
     social_cost is their re-evaluated cost; trace records every evaluated
-    candidate as (p_offpeak, p_delta, total cost) in evaluation order and
-    n_evaluations counts them. At the chosen off-peak price, n_thresholds
-    counts the threshold values collected before duplicates and near-duplicates
-    are merged, n_candidates the price differences left after.
+    candidate as (p_offpeak, p_delta, total cost) in evaluation order, at the
+    chosen off-peak price, and n_evaluations counts them. n_thresholds counts
+    the threshold values collected before duplicates and near-duplicates are
+    merged, n_candidates the price differences left after, each evaluated once.
     """
 
     best_price: TouPrice
@@ -114,18 +114,6 @@ def _merge_close(candidates: np.ndarray) -> np.ndarray:
     return candidates[keep]
 
 
-def _scan(events: _StepEvents, periods, supply, p_o: float):
-    candidates, n_thresholds = events.candidates(p_o)
-    candidates = _merge_close(candidates)
-    eps = _auto_epsilon(candidates)
-    p_deltas = candidates + eps
-    totals = events.costs(p_deltas, p_o, periods, supply)
-    trace = [(p_o, pd, t) for pd, t in zip(p_deltas.tolist(), totals.tolist())]
-    # argmin keeps the first minimum: ties go to the smaller price difference
-    best = int(np.argmin(totals))
-    return trace[best][1], trace[best][2], trace, len(candidates), n_thresholds, eps
-
-
 def user_specs_from_grouping(
     pricing_specs: Mapping[str, StorageSpec],
     user_scenarios: ScenarioSet,
@@ -153,10 +141,10 @@ def _search(
     p_o_range: tuple[float, float],
     p_o_steps: int,
 ) -> PricingResult:
-    """Threshold scan at every off-peak price of the grid, checked with the
-    grouping before any scan; the first cheapest (off-peak price, price
-    difference) pair wins and is re-evaluated per user. Both public entry
-    points call this directly, so a tracer wrapping both sees a search once."""
+    """One threshold scan at the off-peak grid's low end, once the grouping
+    and a grid of several prices are checked; the first cheapest price
+    difference wins and is re-evaluated per user. Both public entry points
+    call this directly, so a tracer wrapping both sees a search once."""
     lo, hi = float(p_o_range[0]), float(p_o_range[1])
     if not 0 <= lo <= hi < np.inf:
         raise InputError("off-peak price range must satisfy 0 <= lo <= hi < inf")
@@ -173,15 +161,22 @@ def _search(
     events = _StepEvents(pricing_scenarios, pricing_specs)
     if scheme == "pi":
         user_arr = events.arr  # the users' own specs, in their order
-    best = None
-    trace: list[tuple[float, float, float]] = []
-    for p_o in np.linspace(lo, hi, int(p_o_steps)).tolist():
-        p_delta, cost, scan_trace, *counts = _scan(events, periods, supply, p_o)
-        trace.extend(scan_trace)
-        if best is None or cost < best[2]:
-            best = (p_o, p_delta, cost, *counts)
-    p_o, p_delta, scan_cost, n_candidates, n_thresholds, eps = best
-    price = TouPrice(p_o + p_delta, p_o)
+    (spec, _), *mixed = events.transforms
+    lossy = (spec.eta_c, spec.eta_d, spec.tau) != (1.0, 1.0, 0.0)
+    late = events.arr.e_shift[events.elastic].max(initial=0.0) >= events.arr.theta.min()
+    if p_o_steps > 1 and hi > lo and (mixed or lossy and late):
+        raise InputError(
+            "an off-peak grid needs one storage technology (eta_c, eta_d, tau) and, "
+            "if lossy or degrading, every e_shift below the cheapest theta"
+        )
+    raw, n_thresholds = events.candidates(lo)
+    candidates = _merge_close(raw)
+    eps = _auto_epsilon(candidates)
+    p_deltas = candidates + eps
+    totals = events.costs(p_deltas, lo, periods, supply)
+    # argmin keeps the first minimum: ties go to the smaller price difference
+    best = int(np.argmin(totals))
+    price = TouPrice(lo + float(p_deltas[best]), lo)
     caps, charge, shifted = _best_responses(price, user_scenarios, user_arr)
     sc = _social_cost_arrays(user_scenarios, user_arr, caps, charge, shifted, periods, supply)
     return PricingResult(
@@ -189,9 +184,9 @@ def _search(
         scheme=scheme,
         social_cost=sc,
         responses=ResponseProfile._batch(user_scenarios.entities, caps, charge.T, shifted.T),
-        trace=trace,
-        scan_cost=scan_cost,
-        n_candidates=n_candidates,
+        trace=[(lo, pd, t) for pd, t in zip(p_deltas.tolist(), totals.tolist())],
+        scan_cost=float(totals[best]),
+        n_candidates=len(candidates),
         n_thresholds=n_thresholds,
         epsilon=eps,
     )
@@ -233,12 +228,16 @@ def optimize_prices_extended(
     p_o_range: tuple[float, float],
     p_o_steps: int,
 ) -> PricingResult:
-    """Grid search over the off-peak price with a threshold scan per grid point.
+    """Tariff search over an off-peak price grid: one threshold scan at its low end.
 
-    With imperfect efficiency the off-peak price enters each entity's
-    investment decision, so the tariff search is two dimensional; with
-    lossless specs a one-point grid is the fixed off-peak scan. Ties resolve
-    to the lowest (off-peak price, price difference) pair.
+    An owner sees the prices only through l * p_delta - (1 - l) * p_offpeak
+    - tau * (1 + l), l = eta_c * eta_d, and shifts elastic demand above its
+    e_shift, while its capacity steps lie at p_delta >= theta / eta_d >= theta.
+    With one (eta_c, eta_d, tau), lossless or with every e_shift below the
+    cheapest theta, each off-peak price reaches the same responses in the same
+    order at the same costs, so the low end wins. A grid of several prices on
+    other specs raises InputError; scan their off-peak prices one at a time
+    with `optimize_price_difference`. Ties go to the smaller price difference.
     """
     return _search(
         pricing_scenarios, pricing_specs, user_scenarios, grouping, periods, supply,

@@ -336,6 +336,9 @@ def test_every_plan_is_certified_on_the_convergence_battery():
             uncertified.append(trial)
             continue
         assert plan.optimality_residual <= plan.residual_limit, trial
+        # Trials 481, 740, 911 and 1476 hold a user a few 1e-12 below the
+        # boundary cost under its min support, within what the residual allows.
+        assert validate_structure_so(plan, thetas, scen).ok, trial
     assert uncertified == []
 
 
@@ -389,7 +392,7 @@ def test_solves_never_cost_through_the_profile_front(monkeypatch, quadratic_supp
     assert plan.social_cost.total > 0.0
     for args in ((types, type_specs, users, grouping), (users, user_specs, None, None)):
         plain = optimize_price_difference(*args, HALF_DAY, quadratic_supply)
-        extended = optimize_prices_extended(*args, HALF_DAY, quadratic_supply, (0.0, 1.0), 2)
+        extended = optimize_prices_extended(*args, HALF_DAY, quadratic_supply, (1.0, 1.0), 1)
         assert plain.social_cost.total > 0.0 and extended.social_cost.total > 0.0
 
 
@@ -583,6 +586,35 @@ def test_validator_rules_at_their_edges(
     }
     assert validate_structure_so(plan, thetas, scen).violations == so_violations
     assert validate_structure_pricing(responses, thetas, scen).violations == pricing_violations
+
+
+def test_planner_validator_forgives_only_the_gap_its_residual_certifies():
+    # A plan optimal to residual r may leave a user up to 2r cheaper than the
+    # boundary investor at zero capacity; 10 x the limit cheaper is still a
+    # violation, and so is any gap in a plan without a residual.
+    peak = np.array([[2.0, 3.0], [6.0, 7.0]])
+    scen = ScenarioSet(("a", "b"), np.array([0.5, 0.5]), peak, np.zeros_like(peak))
+    limit = 1e-10
+
+    def violations(gap, residual):
+        plan = SocialPlan(
+            capacities={"a": 0.0, "b": 4.0},
+            charges={e: np.zeros(2) for e in scen.entities},
+            social_cost=no_storage_cost(scen, HALF_DAY, SupplyCostParams(1.0)),
+            optimality_residual=residual,
+            residual_limit=limit,
+        )
+        return validate_structure_so(plan, {"a": 0.5 - gap, "b": 0.5}, scen).violations
+
+    def flagged(gap):
+        return [
+            f"cost level {0.5 - gap} below invested level 0.5 has no investor (users ['a'])",
+            "user a: non-boundary investor capacity 0.0 below min peak support 2.0",
+        ]
+
+    assert violations(1.9 * limit, limit) == []
+    assert violations(10 * limit, limit) == flagged(10 * limit)
+    assert violations(1.9 * limit, np.nan) == flagged(1.9 * limit)
 
 
 def test_pricing_validator_bounds_a_shifting_user_on_its_residual_support():

@@ -298,25 +298,70 @@ def test_pt_never_cheaper_than_pi(quadratic_supply):
         assert pt.social_cost.total >= pi.social_cost.total - 1e-9
 
 
-def test_extended_matches_plain_bitwise_when_lossless(quadratic_supply):
-    rng = np.random.default_rng(110)
-    for _ in range(10):
-        scen = random_scenarios(rng, 2, 3)
-        specs = random_specs(rng, scen.entities)
-        plain = optimize_price_difference(
-            scen, specs, None, None, HALF_DAY, quadratic_supply
+TECHNOLOGIES = ("lossless", "lossy", "degrading", "elastic")
+
+
+def _one_technology_search(rng, technology, scheme, dirichlet):
+    """A random instance whose specs share one (eta_c, eta_d, tau), with
+    every elastic cost below the cheapest storage cost, as the arguments a
+    search of the scheme takes before its periods, and an off-peak grid
+    (lo, hi, steps) of 2 to 11 prices."""
+    n_users, n_outcomes = int(rng.integers(2, 9)), int(rng.integers(1, 7))
+    users = random_scenarios(rng, n_users, n_outcomes, equiprob=not dirichlet)
+    if dirichlet:
+        users = ScenarioSet(
+            users.entities, rng.dirichlet(np.ones(n_outcomes)), users.peak, users.offpeak
         )
-        ext = optimize_prices_extended(
-            scen, specs, None, None, HALF_DAY, quadratic_supply, (0.0, 4.0), 3
-        )
-        assert ext.best_price.p_delta == plain.best_price.p_delta
-        assert ext.best_price.p_offpeak == 0.0
-        assert ext.social_cost.total == plain.social_cost.total
-        for e in scen.entities:
-            assert ext.responses[e].capacity == plain.responses[e].capacity
-            np.testing.assert_array_equal(
-                ext.responses[e].charge, plain.responses[e].charge
+    eta_c, eta_d, tau = 1.0, 1.0, 0.0
+    if technology in ("lossy", "elastic"):
+        eta_c, eta_d = (float(x) for x in rng.uniform(0.6, 1.0, 2))
+    if technology in ("degrading", "elastic"):
+        tau = float(rng.uniform(0.0, 1.0))
+    types = tuple(f"t{k}" for k in range(int(rng.integers(1, 4))))
+    type_specs = random_specs(rng, types, eta_c=eta_c, eta_d=eta_d, tau=tau)
+    if technology == "elastic":
+        cheapest = min(s.theta for s in type_specs.values())
+        type_specs = {
+            t: replace(
+                s, e_shift=float(rng.uniform(0.0, cheapest)),
+                elastic_fraction=float(rng.uniform(0.0, 1.0)),
             )
+            for t, s in type_specs.items()
+        }
+    grouping = {e: types[int(rng.integers(0, len(types)))] for e in users.entities}
+    if scheme == "pt":
+        pricing = aggregate_by_type(users, grouping)
+        args = (pricing, {t: type_specs[t] for t in pricing.entities}, users, grouping)
+    else:
+        args = (users, user_specs_from_grouping(type_specs, users, grouping), None, None)
+    lo = float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+    return args, (lo, lo + float(rng.uniform(0.1, 4.0)), int(rng.integers(2, 12)))
+
+
+@pytest.mark.parametrize("scheme", ["pt", "pi"])
+@pytest.mark.parametrize("technology", TECHNOLOGIES)
+def test_extended_search_is_the_low_end_scan_for_one_technology(technology, scheme):
+    # With one (eta_c, eta_d, tau) an owner sees the prices only through
+    # l * p_delta - (1 - l) * p_o - tau * (1 + l), l = eta_c * eta_d, and
+    # every elastic swap fires before every capacity step, so each off-peak
+    # price reaches the same responses in the same order: no grid price scans
+    # cheaper than the low end, and the grid search returns the low end's scan.
+    rng = np.random.default_rng([140, TECHNOLOGIES.index(technology), scheme == "pt"])
+    for trial in range(50):
+        args, (lo, hi, steps) = _one_technology_search(rng, technology, scheme, trial % 2)
+        at_lo = optimize_price_difference(*args, HALF_DAY, SUPPLY, p_offpeak=lo)
+        for p_o in np.linspace(lo, hi, steps)[1:].tolist():
+            scan = optimize_price_difference(*args, HALF_DAY, SUPPLY, p_offpeak=p_o)
+            assert not scan.scan_cost < at_lo.scan_cost, (trial, p_o)
+        ext = optimize_prices_extended(*args, HALF_DAY, SUPPLY, (lo, hi), steps)
+        assert ext.best_price == at_lo.best_price, trial
+        assert ext.social_cost == at_lo.social_cost
+        assert ext.responses.keys() == at_lo.responses.keys()
+        for e, got in ext.responses.items():
+            want = at_lo.responses[e]
+            assert got.capacity == want.capacity
+            assert got.charge.tobytes() == want.charge.tobytes()
+            assert got.shifted.tobytes() == want.shifted.tobytes()
 
 
 def test_extended_low_efficiency_kills_investment():
@@ -359,6 +404,23 @@ def test_extended_capacity_weakly_decreasing_in_degradation():
     assert caps[0] > 0
 
 
+def _grid_witness(kind):
+    """A seeded instance outside the one-technology conditions, on which an
+    off-peak price above zero scans strictly cheaper than zero: lossless and
+    lossy specs mixed, or lossy specs with an e_shift above the cheapest
+    theta."""
+    rng = np.random.default_rng({"mixed": 4, "late_shift": 10}[kind])
+    scen = random_scenarios(rng, 3, 4)
+    if kind == "mixed":
+        specs = random_specs(rng, scen.entities)
+        specs["u0"] = replace(specs["u0"], eta_c=0.8, eta_d=0.8)
+    else:
+        specs = random_specs(rng, scen.entities, eta_c=0.9, eta_d=0.85, tau=0.2)
+        u0, u2 = specs["u0"], specs["u2"]
+        specs["u2"] = replace(u2, e_shift=(u0.theta + u2.theta) / 2, elastic_fraction=0.5)
+    return scen, specs
+
+
 def test_extended_validates_range():
     rng = np.random.default_rng(113)
     scen = random_scenarios(rng, 1, 2)
@@ -375,6 +437,20 @@ def test_extended_validates_range():
         optimize_prices_extended(
             scen, specs, None, None, HALF_DAY, SupplyCostParams(1.0), (0.0, np.inf), 2
         )
+    # Where the grid's prices may differ, a grid of several is refused
+    # rather than answered at its low end; each price still scans alone.
+    for kind in ("mixed", "late_shift"):
+        scen, specs = _grid_witness(kind)
+        scans = [
+            optimize_price_difference(scen, specs, None, None, HALF_DAY, SUPPLY, p_offpeak=p_o)
+            for p_o in (0.0, 1.0, 2.0)
+        ]
+        assert min(r.scan_cost for r in scans[1:]) < scans[0].scan_cost, kind
+        with pytest.raises(InputError, match="an off-peak grid needs one storage technology"):
+            optimize_prices_extended(scen, specs, None, None, HALF_DAY, SUPPLY, (0.0, 2.0), 3)
+        for p_o in (0.0, 2.0):
+            one = optimize_prices_extended(scen, specs, None, None, HALF_DAY, SUPPLY, (p_o, p_o), 3)
+            assert one.best_price == scans[int(p_o)].best_price
 
 
 def test_elastic_candidates_include_shift_cost(quadratic_supply):
@@ -577,7 +653,7 @@ def _engine_case(name, rng):
     if name == "lossy_degrading":
         specs = random_specs(rng, scen.entities, eta_c=0.92, eta_d=0.85, tau=0.15)
         specs[scen.entities[0]] = replace(specs[scen.entities[0]], eta_c=1.0, tau=0.0)
-        return scen, specs, (0.0, 2.0, 3)
+        return scen, specs, (1.0, 1.0, 1)
     if name == "elastic":
         return scen, _mixed_elastic(rng, scen.entities, 0.35), None
     if name == "elastic_lossy":
@@ -585,14 +661,14 @@ def _engine_case(name, rng):
             e: replace(s, eta_c=0.9, eta_d=0.9, tau=0.05)
             for e, s in _mixed_elastic(rng, scen.entities, 1.0).items()
         }
-        return scen, specs, (0.0, 1.0, 3)
+        return scen, specs, (1.0, 1.0, 1)
     if name == "elastic_per_entity":
         # u1 and u2 shift different shares; u0 and the lossy u3 carry a
         # share but no shift cost, so they never shift
         specs = _mixed_elastic(rng, scen.entities, 0.6)
         specs["u1"] = replace(specs["u1"], elastic_fraction=0.15)
         specs["u3"] = replace(specs["u3"], eta_c=0.95, eta_d=0.9, elastic_fraction=1.0)
-        return scen, specs, (0.0, 1.0, 2)
+        return scen, specs, (1.0, 1.0, 1)
     if name == "duplicate_outcomes":
         return _duplicated(scen), random_specs(rng, scen.entities), None
     if name == "one_outcome":
