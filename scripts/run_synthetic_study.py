@@ -18,7 +18,6 @@ BASE_CONFIG = {
     "synthetic": {"n_types": 4, "users_per_type": 4, "n_outcomes": 7, "peak_range_mwh": 10.0},
     "supply": {"alpha": 1.0},
     "storage": {"theta_bar": 10.0, "delta_s": 1 / 3, "n_types": 4, "elastic_cost": 2.0},
-    "pricing": {"p_o_range": [0.0, 0.0], "p_o_steps": 1},
     "grouping": {"mode": "random", "seeds": [0, 1, 2, 3, 4]},
     "sweeps": {
         "theta_bar": [0.5, 2, 4, 6, 9, 12, 16, 20, 24, 28, 32, 36, 44],

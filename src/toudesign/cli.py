@@ -47,7 +47,7 @@ from .oracles import grid_check, verify_suite
 from .pricing import (
     PricingResult,
     evaluate_lambda,
-    optimize_prices_extended,
+    optimize_price_difference,
     user_specs_from_grouping,
 )
 
@@ -122,15 +122,6 @@ def _total_capacity(result: PricingResult) -> float:
     return sum(r.capacity for r in result.responses.values())
 
 
-def _write_trace(path: Path, result: PricingResult, extended: bool) -> None:
-    if extended:
-        rows = [[p_o, pd, sc] for p_o, pd, sc in result.trace]
-        _write_rows(path, ["p_offpeak", "candidate_pdelta", "social_cost"], rows)
-    else:
-        rows = [[pd, sc] for _, pd, sc in result.trace]
-        _write_rows(path, ["candidate_pdelta", "social_cost"], rows)
-
-
 def _write_responses(path: Path, result: PricingResult) -> None:
     rows = []
     for entity in sorted(result.responses):
@@ -142,23 +133,6 @@ def _write_responses(path: Path, result: PricingResult) -> None:
     _write_rows(
         path, ["entity", "capacity_mwh", "outcome", "charge_mwh", "shift_mwh"], rows
     )
-
-
-def _is_extended(cfg: ExperimentConfig) -> bool:
-    """Lossy or degrading storage, whose responses move with the off-peak price."""
-    st = cfg.storage
-    return st.eta_c != 1.0 or st.eta_d != 1.0 or st.tau != 0.0
-
-
-def _p_o_grid(cfg: ExperimentConfig) -> tuple[tuple[float, float], int]:
-    pricing = cfg.pricing
-    if not _is_extended(cfg):
-        return (pricing.p_offpeak, pricing.p_offpeak), 1
-    if pricing.p_o_range is None:
-        raise InputError(
-            "pricing.p_o_range is required for the extended (efficiency/degradation) search"
-        )
-    return pricing.p_o_range, pricing.p_o_steps
 
 
 def _optimize_one(
@@ -179,7 +153,8 @@ def _optimize_one(
     else:
         user_specs = user_specs_from_grouping(type_specs, user_scenarios, grouping)
         args = (user_scenarios, user_specs, None, None, periods, supply)
-    return optimize_prices_extended(*args, *_p_o_grid(cfg)), (args[0], args[1], periods, supply)
+    result = optimize_price_difference(*args, p_offpeak=cfg.pricing.p_offpeak)
+    return result, (args[0], args[1], periods, supply)
 
 
 def cmd_ingest(cfg: ExperimentConfig, out: Path, seed: int, outputs: list[Path]) -> int:
@@ -210,13 +185,13 @@ def cmd_optimize(
     user_scenarios = cfg.load_user_scenarios(seed)
     grouping = cfg.groupings(user_scenarios.entities)[0]
     schemes = ["pt", "pi"] if scheme == "both" else [scheme]
-    extended = _is_extended(cfg)
     for sch in schemes:
         result, pricing = _optimize_one(cfg, user_scenarios, grouping, sch)
         base = out / f"result_{sch}.json"
         _write_json(base, _result_payload(result))
         trace_path = out / f"trace_{sch}.csv"
-        _write_trace(trace_path, result, extended)
+        rows = [[pd, sc] for _, pd, sc in result.trace]
+        _write_rows(trace_path, ["candidate_pdelta", "social_cost"], rows)
         resp_path = out / f"responses_{sch}.csv"
         _write_responses(resp_path, result)
         outputs.extend([base, trace_path, resp_path])

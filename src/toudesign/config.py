@@ -14,7 +14,10 @@ type's storage cost. Storage costs for K types spread around a mean cost
 theta_bar by the diversity coefficient delta_s; with four types the levels
 are theta_bar * (1 -+ 1.5 delta_s, 1 -+ 0.5 delta_s). theta_bar and
 capital_cost_per_mwh must be finite and > 0, delta_s finite and >= 0, and
-every level > 0, so with K > 1 types delta_s < 2 / (K - 1).
+every level > 0, so with K > 1 types delta_s < 2 / (K - 1). Every tariff
+search scans at pricing.p_offpeak; p_o_range (whose low end must be
+p_offpeak), p_o_steps, mode (only auto) and epsilon (only null) are
+accepted and change nothing.
 """
 
 from __future__ import annotations
@@ -155,13 +158,17 @@ class PricingCfg:
 
     def __post_init__(self):
         if self.mode != "auto":
-            raise InputError("mode must be auto: the off-peak grid follows the storage model")
+            raise InputError("mode must be auto: every search scans at p_offpeak")
         if self.epsilon is not None:
             raise InputError("epsilon must be null: the candidate offset is automatic")
         if not 0 <= self.p_offpeak < np.inf:
             raise InputError("p_offpeak must be finite and >= 0")
-        if self.p_o_range is not None and not 0 <= self.p_o_range[0] <= self.p_o_range[1] < np.inf:
-            raise InputError("p_o_range must satisfy 0 <= lo <= hi < inf")
+        lo_hi = self.p_o_range
+        if lo_hi is not None and not self.p_offpeak == lo_hi[0] <= lo_hi[1] < np.inf:
+            raise InputError(
+                "p_o_range must satisfy p_offpeak == lo <= hi < inf, as every search scans "
+                f"at p_offpeak {self.p_offpeak!r}, got {list(lo_hi)!r}"
+            )
         if self.p_o_steps < 1:
             raise InputError("p_o_steps must be >= 1")
 

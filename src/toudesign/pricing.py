@@ -119,16 +119,13 @@ def user_specs_from_grouping(
     user_scenarios: ScenarioSet,
     grouping: Mapping[str, str],
 ) -> dict[str, StorageSpec]:
-    """Each user adopts the storage spec of its type."""
-    specs = {}
-    for entity in user_scenarios.entities:
-        if entity not in grouping:
-            raise InputError(f"grouping is missing user {entity!r}")
-        t = grouping[entity]
-        if t not in pricing_specs:
-            raise InputError(f"no spec for type {t!r} of user {entity!r}")
-        specs[entity] = pricing_specs[t]
-    return specs
+    """Each user adopts the storage spec of its type. A grouping that lacks
+    users, or types that have no spec, raise InputError naming all of them."""
+    types = user_scenarios.per_entity(grouping, "types")
+    missing = list(dict.fromkeys(t for t in types if t not in pricing_specs))
+    if missing:
+        raise InputError(f"missing storage specs for {missing}")
+    return {e: pricing_specs[t] for e, t in zip(user_scenarios.entities, types)}
 
 
 def _search(
@@ -138,18 +135,15 @@ def _search(
     grouping: Mapping[str, str] | None,
     periods: PeriodStructure,
     supply: SupplyCostParams,
-    p_o_range: tuple[float, float],
-    p_o_steps: int,
+    p_offpeak: float,
 ) -> PricingResult:
-    """One threshold scan at the off-peak grid's low end, once the grouping
-    and a grid of several prices are checked; the first cheapest price
-    difference wins and is re-evaluated per user. Both public entry points
-    call this directly, so a tracer wrapping both sees a search once."""
-    lo, hi = float(p_o_range[0]), float(p_o_range[1])
-    if not 0 <= lo <= hi < np.inf:
-        raise InputError("off-peak price range must satisfy 0 <= lo <= hi < inf")
-    if p_o_steps < 1:
-        raise InputError("p_o_steps must be >= 1")
+    """One threshold scan at one off-peak price, once the grouping is
+    checked; the first cheapest price difference wins and is re-evaluated
+    per user. Both public entry points call this directly, so a tracer
+    wrapping both sees a search once."""
+    p_offpeak = float(p_offpeak)
+    if not 0 <= p_offpeak < np.inf:
+        raise InputError("off-peak price must be finite and >= 0")
     if user_scenarios is None:
         scheme, user_scenarios = "pi", pricing_scenarios
     elif grouping is None:
@@ -161,22 +155,14 @@ def _search(
     events = _StepEvents(pricing_scenarios, pricing_specs)
     if scheme == "pi":
         user_arr = events.arr  # the users' own specs, in their order
-    (spec, _), *mixed = events.transforms
-    lossy = (spec.eta_c, spec.eta_d, spec.tau) != (1.0, 1.0, 0.0)
-    late = events.arr.e_shift[events.elastic].max(initial=0.0) >= events.arr.theta.min()
-    if p_o_steps > 1 and hi > lo and (mixed or lossy and late):
-        raise InputError(
-            "an off-peak grid needs one storage technology (eta_c, eta_d, tau) and, "
-            "if lossy or degrading, every e_shift below the cheapest theta"
-        )
-    raw, n_thresholds = events.candidates(lo)
+    raw, n_thresholds = events.candidates(p_offpeak)
     candidates = _merge_close(raw)
     eps = _auto_epsilon(candidates)
     p_deltas = candidates + eps
-    totals = events.costs(p_deltas, lo, periods, supply)
+    totals = events.costs(p_deltas, p_offpeak, periods, supply)
     # argmin keeps the first minimum: ties go to the smaller price difference
     best = int(np.argmin(totals))
-    price = TouPrice(lo + float(p_deltas[best]), lo)
+    price = TouPrice(p_offpeak + float(p_deltas[best]), p_offpeak)
     caps, charge, shifted = _best_responses(price, user_scenarios, user_arr)
     sc = _social_cost_arrays(user_scenarios, user_arr, caps, charge, shifted, periods, supply)
     return PricingResult(
@@ -184,7 +170,7 @@ def _search(
         scheme=scheme,
         social_cost=sc,
         responses=ResponseProfile._batch(user_scenarios.entities, caps, charge.T, shifted.T),
-        trace=[(lo, pd, t) for pd, t in zip(p_deltas.tolist(), totals.tolist())],
+        trace=[(p_offpeak, pd, t) for pd, t in zip(p_deltas.tolist(), totals.tolist())],
         scan_cost=float(totals[best]),
         n_candidates=len(candidates),
         n_thresholds=n_thresholds,
@@ -213,8 +199,7 @@ def optimize_price_difference(
     difference.
     """
     return _search(
-        pricing_scenarios, pricing_specs, user_scenarios, grouping, periods, supply,
-        (p_offpeak, p_offpeak), 1,
+        pricing_scenarios, pricing_specs, user_scenarios, grouping, periods, supply, p_offpeak
     )
 
 
@@ -230,18 +215,35 @@ def optimize_prices_extended(
 ) -> PricingResult:
     """Tariff search over an off-peak price grid: one threshold scan at its low end.
 
-    An owner sees the prices only through l * p_delta - (1 - l) * p_offpeak
-    - tau * (1 + l), l = eta_c * eta_d, and shifts elastic demand above its
-    e_shift, while its capacity steps lie at p_delta >= theta / eta_d >= theta.
-    With one (eta_c, eta_d, tau), lossless or with every e_shift below the
-    cheapest theta, each off-peak price reaches the same responses in the same
-    order at the same costs, so the low end wins. A grid of several prices on
-    other specs raises InputError; scan their off-peak prices one at a time
-    with `optimize_price_difference`. Ties go to the smaller price difference.
+    The library's grid front, which only `verify`'s extended-reduction check
+    calls; every tariff a command reports is scanned at `pricing.p_offpeak` by
+    `optimize_price_difference`. An owner sees the prices only through
+    l * p_delta - (1 - l) * p_offpeak - tau * (1 + l), l = eta_c * eta_d, and
+    shifts elastic demand above its e_shift, while its capacity steps lie at
+    p_delta >= theta / eta_d >= theta. With one (eta_c, eta_d, tau), lossless
+    or with every e_shift below the cheapest theta, each off-peak price
+    reaches the same responses in the same order at the same costs, so the low
+    end wins. A grid of several prices on other specs raises InputError; scan
+    their off-peak prices one at a time with `optimize_price_difference`. Ties
+    go to the smaller price difference.
     """
+    lo, hi = float(p_o_range[0]), float(p_o_range[1])
+    if not 0 <= lo <= hi < np.inf:
+        raise InputError("off-peak price range must satisfy 0 <= lo <= hi < inf")
+    if p_o_steps < 1:
+        raise InputError("p_o_steps must be >= 1")
+    if p_o_steps > 1 and hi > lo:
+        specs = pricing_scenarios.per_entity(pricing_specs, "storage specs")
+        techs = {(s.eta_c, s.eta_d, s.tau) for s in specs}
+        e_shift = max((s.e_shift for s in specs if s.e_shift is not None), default=0.0)
+        late = e_shift >= min(s.theta for s in specs)
+        if len(techs) > 1 or techs != {(1.0, 1.0, 0.0)} and late:
+            raise InputError(
+                "an off-peak grid needs one storage technology (eta_c, eta_d, tau) and, "
+                "if lossy or degrading, every e_shift below the cheapest theta"
+            )
     return _search(
-        pricing_scenarios, pricing_specs, user_scenarios, grouping, periods, supply,
-        p_o_range, p_o_steps,
+        pricing_scenarios, pricing_specs, user_scenarios, grouping, periods, supply, lo
     )
 
 

@@ -11,15 +11,15 @@ names only).
 
 tests/golden/elastic holds the same tables on the study config with
 elastic demand and lossy, degrading storage, where both tariffs buy storage
-and shift load (an extended search, so each trace row starts with its
-off-peak price), and are held to the same rules.
+and shift load, and are held to the same rules. Its traces have the same
+two columns as the example's: every search scans at `pricing.p_offpeak`.
 
 It also holds `ingest`'s scenarios.csv, `verify`'s report, `benchmark`'s
-tables and the theta_bar, delta_s, delta_d and lambda sweeps on the example
-config; tests/golden/study holds a small
-study-shaped config and its tau, eta and elastic_fraction sweeps, which the
-example config cannot run, and tests/golden/elastic its lambda and
-elastic_fraction sweeps. These are reproduced byte for byte.
+tables and the theta_bar, delta_s, delta_d, lambda, tau and eta sweeps on
+the example config; tests/golden/study holds a small study-shaped config
+and its tau, eta and elastic_fraction sweeps (the example config has no
+elastic cost), and tests/golden/elastic its lambda and elastic_fraction
+sweeps. These are reproduced byte for byte.
 """
 
 import csv
@@ -113,7 +113,7 @@ BYTE_IDENTICAL = [
     (["benchmark"], GOLDEN, ["ratios.json", "structure.json", "so_plan.json"]),
     *(
         (["sweep", "--axis", axis], GOLDEN, [f"sweep_{axis}.csv"])
-        for axis in ("theta_bar", "delta_s", "delta_d", "lambda")
+        for axis in ("theta_bar", "delta_s", "delta_d", "lambda", "tau", "eta")
     ),
     *(
         (["sweep", "--axis", axis], STUDY, [f"sweep_{axis}.csv"])

@@ -547,18 +547,44 @@ def _pair_responses():
         ), "storage costs"),
         (lambda: validate_structure_pricing(_pair_responses(), {"a": 1.0}, PAIR),
          "storage costs"),
+        (lambda: user_specs_from_grouping(PAIR_SPECS, PAIR, {"a": "a"}), "types"),
+        (lambda: user_specs_from_grouping(A_SPECS, PAIR, {"a": "a", "b": "b"}),
+         "storage specs"),
     ],
     ids=[
         "optimize_price_difference", "optimize_prices_extended", "social_cost_curve",
         "evaluate_lambda", "social_cost-specs", "social_cost-responses",
         "validate_structure_pricing", "aggregate_by_type", "solve_so",
         "validate_structure_so-costs", "validate_structure_pricing-costs",
+        "user_specs_from_grouping-types", "user_specs_from_grouping-specs",
     ],
 )
 def test_entry_points_name_the_entity_a_mapping_lacks(call, what):
     with pytest.raises(InputError) as err:
         call()
     assert str(err.value) == f"missing {what} for ['b']"
+
+
+def test_user_specs_from_grouping_names_every_user_and_type_it_lacks():
+    with pytest.raises(InputError) as err:
+        user_specs_from_grouping(PAIR_SPECS, PAIR, {})
+    assert str(err.value) == "missing types for ['a', 'b']"
+    # each type once, in the users' order
+    for grouping, missing in [({"a": "u", "b": "t"}, ["u", "t"]), ({"a": "t", "b": "t"}, ["t"])]:
+        with pytest.raises(InputError) as err:
+            user_specs_from_grouping(PAIR_SPECS, PAIR, grouping)
+        assert str(err.value) == f"missing storage specs for {missing}"
+
+
+def test_type_search_requires_a_grouping():
+    with pytest.raises(InputError, match="^a grouping is required with user scenarios$"):
+        optimize_price_difference(PAIR, PAIR_SPECS, PAIR, None, HALF_DAY, ONE)
+
+
+def test_lambda_refuses_a_zero_no_storage_cost():
+    idle = ScenarioSet(("a",), np.array([1.0]), np.zeros((1, 1)), np.zeros((1, 1)))
+    with pytest.raises(InputError, match="^no-storage cost is zero; lambda is undefined$"):
+        evaluate_lambda([1.0], [1.0], idle, A_SPECS, HALF_DAY, ONE)
 
 
 @pytest.mark.parametrize("n_outcomes", [1, 3])
