@@ -74,8 +74,7 @@ def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+        writer.writerows(rows)
 
 
 def _write_meta(

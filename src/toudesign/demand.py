@@ -174,7 +174,6 @@ class HourlyLoadTable:
             raise InputError(f"unknown unit {units!r}, expected 'mwh' or 'kwh'")
         if not np.isfinite(solar_scale) or solar_scale < 0:
             raise InputError("solar scale factor must be finite and >= 0")
-        # The parsed rows are freed before the constructor copies the net load.
         return cls(*_read_loads(path, 1.0 if units == "mwh" else 1e-3, solar_scale))
 
 
@@ -194,7 +193,7 @@ def _read_loads(path, factor: float, solar_scale: float):
         has_solar = all(c in col for c in solar_cols)
         usecols = [col[c] for c in ["day", "entity"] + load_cols + (solar_cols if has_solar else [])]
         try:
-            keys, rows = _read_columns(fh, usecols)
+            keys, rows = _read_columns(path, reader.line_num, usecols)
         except ValueError:
             keys, rows = _parse_rows(path, fh, usecols)
     if not len(keys):
@@ -212,32 +211,43 @@ def _read_loads(path, factor: float, solar_scale: float):
         day, entity = days[gap // len(entities)], entities[gap % len(entities)]
         raise InputError(f"missing load row for day={day!r}, entity={entity!r}")
     # Unit conversion and solar netting work in place on the parsed rows.
-    rows *= factor
+    if factor != 1.0:
+        rows *= factor
     net = rows[:, :24]
     if has_solar:
-        rows[:, 24:] *= solar_scale
+        if solar_scale != 1.0:
+            rows[:, 24:] *= solar_scale
         net -= rows[:, 24:]
     np.maximum(net, 0.0, out=net)
-    return days, entities, net[np.argsort(cells)].reshape(len(days), len(entities), 24)
+    # cells is a permutation of the grid. The constructor copies net anyway, so
+    # only rows out of (day, entity) order are copied here, to reorder them.
+    if (np.diff(cells) != 1).any():
+        net = net[np.argsort(cells)]
+    return days, entities, net.reshape(len(days), len(entities), 24)
 
 
-def _read_columns(fh, usecols: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The data rows left in fh, read by numpy's C reader: (n, 2) keys and
-    (n, m) values. Raises ValueError where the row parser must decide: a short
-    row, a value only float() reads (`1_0`), a non-finite value, a long or
-    non-ASCII key."""
+def _read_columns(path, skiprows: int, usecols: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The data rows after the first skiprows lines of path, read in chunks by
+    numpy's C reader: (n, 2) keys at their narrowest width and (n, m) values.
+    Raises ValueError where the row parser must decide: a short row, a value
+    only float() reads (`1_0`), a non-finite value, a long or non-ASCII key, or
+    a key with a line break (numpy opens a path with universal newlines, so a
+    quoted \\r\\n would read as \\n)."""
     dtype = np.dtype([("key", f"S{_KEY_WIDTH}", 2), ("value", float, len(usecols) - 2)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
         table = np.loadtxt(
-            fh, dtype, delimiter=",", comments=None, quotechar='"', usecols=usecols, ndmin=1
+            path, dtype, delimiter=",", comments=None, quotechar='"', usecols=usecols,
+            skiprows=skiprows, ndmin=1,
         )
     keys, rows = table["key"], table["value"]
-    if np.char.str_len(keys).max(initial=0) >= _KEY_WIDTH or keys.view(np.uint8).max(initial=0) > 127:
-        raise ValueError("a key that may be cut short or is not ASCII")
+    width = int(np.char.str_len(keys).max(initial=0))
+    key_bytes = keys.view(np.uint8)
+    if width >= _KEY_WIDTH or key_bytes.max(initial=0) > 127 or (key_bytes == ord("\n")).any():
+        raise ValueError("a key that may be cut short, is not ASCII or holds a line break")
     if not np.isfinite(rows).all():
         raise ValueError("a non-finite value")
-    return keys, rows
+    return keys.astype(f"S{max(width, 1)}"), rows
 
 
 def _parse_rows(path, fh, usecols: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -362,10 +372,14 @@ def reduce_scenarios(s: ScenarioSet, target: int) -> ScenarioSet:
     if target == n:
         return s
     vectors = np.hstack([s.peak, s.offpeak])
-    # One row at a time, so memory stays O(n^2) rather than O(n^2 entities).
-    dist = np.empty((n, n))
+    # One row at a time in one buffer, so memory stays O(n^2) rather than
+    # O(n^2 entities). (a - b)^2 = (b - a)^2 exactly, so each distance is
+    # computed once.
+    dist, diff = np.empty((n, n)), np.empty_like(vectors)
     for w in range(n):
-        dist[w] = np.sqrt(((vectors - vectors[w]) ** 2).sum(axis=1))
+        np.subtract(vectors[w:], vectors[w], out=diff[w:])
+        dist[w, w:] = dist[w:, w] = np.sqrt(np.square(diff[w:], out=diff[w:]).sum(axis=1))
+    del vectors, diff  # freed before the selection's (n, n) temporaries
     # Outcomes at distance 0 from an earlier one are copies; keeping more
     # outcomes than distinct ones would keep a copy with probability 0.
     distinct = n - int(np.tril(dist == 0.0, -1).any(axis=1).sum())

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from toudesign import PeriodStructure
-from toudesign.cli import build_parser, main
+from toudesign.cli import _write_rows, build_parser, main
 from toudesign.errors import ConvergenceError, InputError, OrderingViolationError
 
 from conftest import hourly_loop_oracle, make_sample_loads
@@ -85,6 +85,16 @@ def test_ingest_real_shaped_loads_in_kwh_with_solar(tmp_path):
         for w in range(expected.n_outcomes)
         for j, entity in enumerate(expected.entities)
     ]
+
+
+def test_result_tables_write_python_and_numpy_floats_as_their_repr(tmp_path):
+    values = [0.1, 1 / 3, 1e300, 5e-324, -0.0, 7.0]
+    path = tmp_path / "rows.csv"
+    _write_rows(path, ["kind", "n"] + [f"x{i}" for i in range(len(values))],
+                [["float", 3, *values], ["float64", np.int64(3), *map(np.float64, values)]])
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1:] == [[kind, "3", *map(repr, values)] for kind in ("float", "float64")]
 
 
 def test_optimize_writes_results_and_passes_grid_check(tmp_path):
@@ -223,14 +233,8 @@ def test_sweep_delta_d(tmp_path):
         assert float(row["kappa_pt"]) >= 1.0 - 1e-9
 
 
-def test_sweep_eta_uses_extended_search(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        {
-            "sweeps": {"eta": [0.8, 1.0]},
-            "pricing": {"p_o_range": [0.0, 0.0], "p_o_steps": 1},
-        },
-    )
+def test_sweep_eta(tmp_path):
+    cfg = write_config(tmp_path, {"sweeps": {"eta": [0.8, 1.0]}})
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--axis", "eta"]) == 0
     rows = read_csv(out / "sweep_eta.csv")
@@ -240,13 +244,7 @@ def test_sweep_eta_uses_extended_search(tmp_path):
 
 
 def test_sweep_delta_s_and_tau(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        {
-            "sweeps": {"delta_s": [0.0, 0.3], "tau": [0.0, 0.2]},
-            "pricing": {"p_o_range": [0.0, 0.0], "p_o_steps": 1},
-        },
-    )
+    cfg = write_config(tmp_path, {"sweeps": {"delta_s": [0.0, 0.3], "tau": [0.0, 0.2]}})
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--axis", "delta_s"]) == 0
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--axis", "tau"]) == 0

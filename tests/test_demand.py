@@ -352,6 +352,46 @@ def test_reduce_equals_dense_tensor_formula():
             assert same_scenarios(reduce_scenarios(scen, target), dense_reduce(scen, target))
 
 
+def full_row_reduce(s, target):
+    """reduce_scenarios computing every row of the distance matrix in full."""
+    vectors = np.hstack([s.peak, s.offpeak])
+    n = s.n_outcomes
+    dist = np.empty((n, n))
+    for w in range(n):
+        dist[w] = np.sqrt(((vectors - vectors[w]) ** 2).sum(axis=1))
+    distinct = n - int(np.tril(dist == 0.0, -1).any(axis=1).sum())
+    if target > distinct:
+        raise InputError(f"target {target} exceeds the {distinct} distinct outcomes")
+    kept, min_dist = [], np.full(n, np.inf)
+    for _ in range(target):
+        cand_cost = s.probs @ np.minimum(min_dist[:, None], dist)
+        cand_cost[kept] = np.inf
+        kept.append(int(np.argmin(cand_cost)))
+        min_dist = np.minimum(min_dist, dist[:, kept[-1]])
+    keep_idx = np.array(sorted(kept))
+    nearest = np.argmin(dist[:, keep_idx], axis=1)
+    probs = np.bincount(nearest, weights=s.probs, minlength=target)
+    return ScenarioSet(s.entities, probs, s.peak[keep_idx], s.offpeak[keep_idx])
+
+
+def test_reduce_equals_full_row_distances_bit_for_bit():
+    rng = np.random.default_rng(33)
+    for n_entities in (1, 2, 3, 5, 8, 40, 70, 150):
+        n_outcomes = int(rng.integers(2, 50))
+        scen = random_scenarios(rng, n_entities, n_outcomes)
+        # copied outcomes tie at distance zero
+        rows = rng.integers(0, n_outcomes, n_outcomes + int(rng.integers(1, 10)))
+        probs = rng.uniform(0.2, 1.0, rows.size)
+        scen = ScenarioSet(scen.entities, probs / probs.sum(), scen.peak[rows], scen.offpeak[rows])
+        distinct = np.unique(rows).size
+        for target in (1, int(rng.integers(1, distinct + 1)), distinct):
+            assert same_scenarios(reduce_scenarios(scen, target), full_row_reduce(scen, target))
+        message = f"target {distinct + 1} exceeds the {distinct} distinct outcomes"
+        for reduce in (reduce_scenarios, full_row_reduce):
+            with pytest.raises(InputError, match=message):
+                reduce(scen, distinct + 1)
+
+
 def test_load_table_csv(tmp_path):
     path = tmp_path / "loads.csv"
     header = "day,entity," + ",".join(f"h{i}" for i in range(24))
@@ -486,7 +526,7 @@ LOAD_CSV_CASES = {
     "spaces in keys and values": (load_text([load_record(" d 1", "a b ", " 2.5 ")]), True),
     "# in a key": (load_text([load_record("#d", "a#")]), True),
     "quoted keys with commas": (load_text([load_record('"d,1"', '"a,""b"""')]), True),
-    "quoted key with a line break": (load_text([load_record('"d\r\n1"', "a")], terminator="\r\n"), True),
+    "quoted key with a line break": (load_text([load_record('"d\r\n1"', "a")], terminator="\r\n"), False),
     "shuffled columns": (load_text([[r[k] for k in COLUMN_ORDER] for r in GRID], [LOAD_HEADER[k] for k in COLUMN_ORDER]), True),
     "repeated column": (load_text([r + ["7.0"] for r in GRID], LOAD_HEADER + ["h3"]), True),
     "extra columns": (load_text([["note"] + r + ['"x,y"'] for r in GRID], ["note"] + LOAD_HEADER + ["tail"]), True),
@@ -515,6 +555,15 @@ def test_load_csv_c_reader_matches_row_parser(tmp_path, case, units):
     path = tmp_path / "loads.csv"
     path.write_bytes(text.encode())
     assert read_both_ways(path, units=units, solar_scale=0.5) == c_reader
+
+
+@pytest.mark.parametrize("terminator", ["\n", "\r\n"])
+def test_sample_loads_take_the_c_reader_with_either_line_ending(tmp_path, terminator):
+    path = make_sample_loads(tmp_path, users=5, days=8)
+    text = path.read_bytes()
+    assert text.count(b"\r\n") == 1 + 5 * 8
+    path.write_bytes(text.replace(b"\r\n", terminator.encode()))
+    assert read_both_ways(path, units="kwh", solar_scale=0.5)
 
 
 @settings(max_examples=80, deadline=None)
