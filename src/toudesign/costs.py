@@ -92,7 +92,10 @@ def supply_cost_period(load, hours: float, params: SupplyCostParams):
     if hours < 1:
         raise InputError("a period must contain at least one hour")
     load = np.asarray(load, dtype=float)
-    cost = (params.alpha / hours) * load**2 + params.beta * load + params.gamma * hours
+    cost = (params.alpha / hours) * load**2
+    # adding exact zeros leaves every finite load's cost as it is
+    if params.beta or params.gamma:
+        cost = cost + params.beta * load + params.gamma * hours
     return float(cost) if cost.ndim == 0 else cost
 
 
@@ -201,8 +204,13 @@ def _social_cost_arrays(
     per_outcome = two_period_supply_cost(peak_load, off_load, periods, supply)
     expected_supply = float(scenarios.probs @ per_outcome)
     investment = float(arr.theta @ caps)
-    degradation = float(scenarios.probs @ (charge @ (arr.tau * (1.0 + losses))))
-    shift_cost = float(scenarios.probs @ (shifted @ np.nan_to_num(arr.e_shift)))
+    # Without degradation or elastic entities those terms are exact zeros.
+    degradation = shift_cost = 0.0
+    if arr.tau.any():
+        degradation = float(scenarios.probs @ (charge @ (arr.tau * (1.0 + losses))))
+    elastic = ~np.isnan(arr.e_shift)
+    if elastic.any():
+        shift_cost = float(scenarios.probs @ (shifted @ np.where(elastic, arr.e_shift, 0.0)))
     return SocialCostBreakdown(investment, degradation, shift_cost, expected_supply)
 
 

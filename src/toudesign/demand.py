@@ -181,21 +181,24 @@ def _read_loads(path, factor: float, solar_scale: float):
     """(days, entities, net) of a load csv, as HourlyLoadTable.from_csv."""
     load_cols = [f"h{i}" for i in range(24)]
     solar_cols = [f"s{i}" for i in range(24)]
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        # the last of repeated column names wins, as with csv.DictReader
-        col = {name: i for i, name in enumerate(next(reader, None) or [])}
-        if "day" not in col or "entity" not in col:
-            raise InputError("load csv must have 'day' and 'entity' columns")
-        missing = [c for c in load_cols if c not in col]
-        if missing:
-            raise InputError(f"load csv is missing hourly columns {missing}")
-        has_solar = all(c in col for c in solar_cols)
-        usecols = [col[c] for c in ["day", "entity"] + load_cols + (solar_cols if has_solar else [])]
-        try:
-            keys, rows = _read_columns(path, reader.line_num, usecols)
-        except ValueError:
-            keys, rows = _parse_rows(path, fh, usecols)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            # the last of repeated column names wins, as with csv.DictReader
+            col = {name: i for i, name in enumerate(next(reader, None) or [])}
+            if "day" not in col or "entity" not in col:
+                raise InputError("load csv must have 'day' and 'entity' columns")
+            missing = [c for c in load_cols if c not in col]
+            if missing:
+                raise InputError(f"load csv is missing hourly columns {missing}")
+            has_solar = all(c in col for c in solar_cols)
+            usecols = [col[c] for c in ["day", "entity"] + load_cols + (solar_cols if has_solar else [])]
+            try:
+                keys, rows = _read_columns(path, reader.line_num, usecols)
+            except ValueError:  # numpy's decode error included
+                keys, rows = _parse_rows(path, fh, usecols)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not len(keys):
         raise InputError("load table is empty")
     days, day_of = np.unique(keys[:, 0], return_inverse=True)
@@ -224,6 +227,21 @@ def _read_loads(path, factor: float, solar_scale: float):
     if (np.diff(cells) != 1).any():
         net = net[np.argsort(cells)]
     return days, entities, net.reshape(len(days), len(entities), 24)
+
+
+def _not_utf8(path) -> InputError:
+    """The refusal of a load csv that is not UTF-8 text, naming the physical
+    line of its first undecodable byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    start = len(data)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = exc.start
+    # Counted as csv counts them: \n, \r\n and a bare \r each end a line.
+    line = len((data[:start] + b"x").splitlines())
+    return InputError(f"{path}:{line}: load csv is not UTF-8 text")
 
 
 def _read_columns(path, skiprows: int, usecols: list[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -105,9 +105,12 @@ def _merge_close(candidates: np.ndarray) -> np.ndarray:
     need the walk.
     """
     tol = 1e-9 * np.maximum(1.0, np.abs(candidates[1:]))
+    close = np.flatnonzero(np.diff(candidates) <= tol) + 1
+    if not close.size:
+        return candidates
     keep = np.ones(candidates.size, dtype=bool)
     last = 0
-    for i in (np.flatnonzero(np.diff(candidates) <= tol) + 1).tolist():
+    for i in close.tolist():
         if keep[i - 1]:
             last = i - 1
         keep[i] = candidates[i] - candidates[last] > tol[i - 1]

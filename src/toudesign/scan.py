@@ -32,7 +32,7 @@ def _sorted_columns(demand: np.ndarray, probs: np.ndarray):
     masses of its sorted outcomes, as `respond` and `_sized` sort one."""
     order = np.argsort(demand, axis=0, kind="stable")
     tails = np.cumsum(probs[order][::-1], axis=0)[::-1]
-    return np.take_along_axis(demand, order, axis=0), tails
+    return demand[order, np.arange(demand.shape[1])], tails
 
 
 class _StepEvents:
@@ -51,15 +51,23 @@ class _StepEvents:
         arr = self.arr = _SpecArrays.of(spec_list)
         self.n = scenarios.n_entities
         el = self.elastic = np.flatnonzero(~np.isnan(arr.e_shift))
-        self.owner = np.concatenate((np.arange(self.n), el))
         peak = scenarios.peak
-        scale = 1.0 / (arr.eta_c * arr.eta_d)
-        shifted = arr.elastic_fraction[el] * peak[:, el]
-        demand = np.hstack((peak * scale, (peak[:, el] - shifted) * scale[el]))
+        loss = arr.eta_c * arr.eta_d
+        scale = 1.0 / loss
+        demand = peak * scale
+        self.owner = np.arange(self.n)
+        per_column = (loss, arr.eta_c * arr.theta, arr.tau * (1.0 + loss))
+        if el.size:
+            shifted = arr.elastic_fraction[el] * peak[:, el]
+            demand = np.hstack((demand, (peak[:, el] - shifted) * scale[el]))
+            self.shifted_rows = np.ascontiguousarray(shifted.T)
+            self.owner = np.concatenate((self.owner, el))
+            per_column = tuple(x[self.owner] for x in per_column)
+        self.loss, self.investment, self.degradation = per_column
+        self.degrades = bool(arr.tau.any())
         self.demand_rows = np.ascontiguousarray(demand.T)
-        self.shifted_rows = np.ascontiguousarray(shifted.T)
         self.steps, tails = _sorted_columns(demand, scenarios.probs)
-        self.thresholds = (arr.eta_c * arr.theta)[self.owner] / tails
+        self.thresholds = self.investment / tails
         below = np.vstack((np.zeros((1, self.owner.size)), self.steps[:-1]))
         self.lo, self.hi = below.ravel(), self.steps.ravel()
         self.step_cols = np.tile(np.arange(self.owner.size), self.steps.shape[0])
@@ -67,19 +75,21 @@ class _StepEvents:
         # Candidates come from the ordering each entity is sized on where it
         # can buy storage: for an elastic entity that is its residual, since
         # its thresholds lie above theta > e_shift, past its swap.
-        priced = np.concatenate((np.isnan(arr.e_shift), np.ones(el.size, bool)))
-        self.priced_owner = self.owner[priced]
-        self.rungs = (arr.theta / arr.eta_d)[self.priced_owner] / tails[:, priced]
-        loss = arr.eta_c * arr.eta_d
-        self.loss, self.investment, self.degradation = (
-            x[self.owner] for x in (loss, arr.eta_c * arr.theta, arr.tau * (1.0 + loss))
-        )
+        self.priced_owner, rung_costs = self.owner, arr.theta / arr.eta_d
+        if el.size:
+            priced = np.concatenate((np.isnan(arr.e_shift), np.ones(el.size, bool)))
+            self.priced_owner = self.owner[priced]
+            rung_costs, tails = rung_costs[self.priced_owner], tails[:, priced]
+        self.rungs = rung_costs / tails
         # Entities with equal (eta_c, eta_d, tau) share one transformed grid.
         first: dict[tuple, int] = {}
         group = np.array([
             first.setdefault((s.eta_c, s.eta_d, s.tau), j) for j, s in enumerate(spec_list)
         ])[self.owner]
-        self.transforms = [(spec_list[j], group == j) for j in first.values()]
+        # One technology's grid covers every column: a slice, not a mask.
+        self.transforms = [
+            (spec_list[j], slice(None) if len(first) == 1 else group == j) for j in first.values()
+        ]
         self.probs = scenarios.probs
         self.base_peak = scenarios.aggregate_peak()
         self.base_offpeak = scenarios.aggregate_offpeak()
@@ -109,29 +119,35 @@ class _StepEvents:
         for spec, cols in self.transforms:
             pd_dag = equivalent_transform(spec, p_o, p_deltas).p_delta
             fire[:, cols] = np.searchsorted(pd_dag, self.thresholds[:, cols], side="right")
-        # An elastic entity swaps its full-peak profile for the residual one
-        # at the first price difference above its e_shift: its full-peak steps
-        # stop there and earlier residual steps fire with the swap.
-        el, n = self.elastic, self.n
-        swap_at = np.searchsorted(p_deltas, self.arr.e_shift[el], side="right")
-        full = fire[:, el]
-        fired = full < swap_at
-        fire[:, el] = np.where(fired, full, m)
-        fire[:, n:] = np.maximum(fire[:, n:], swap_at)
-        count = fired.sum(axis=0)
-        cap_before = np.where(count > 0, self.steps[count - 1, el], 0.0)
+        swaps = ()
+        if self.elastic.size:
+            # An elastic entity swaps its full-peak profile for the residual
+            # one at the first price difference above its e_shift: its
+            # full-peak steps stop there and earlier residual steps fire with
+            # the swap.
+            el, n = self.elastic, self.n
+            swap_at = np.searchsorted(p_deltas, self.arr.e_shift[el], side="right")
+            full = fire[:, el]
+            fired = full < swap_at
+            fire[:, el] = np.where(fired, full, m)
+            fire[:, n:] = np.maximum(fire[:, n:], swap_at)
+            count = fired.sum(axis=0)
+            swaps = np.flatnonzero(swap_at < m)
+            cap_before = np.where(count > 0, self.steps[count - 1, el], 0.0)[swaps]
         when = fire.ravel()
         live = np.flatnonzero(self.moves & (when < m))
-        swaps = np.flatnonzero(swap_at < m)
-        when = np.concatenate((when[live], swap_at[swaps]))
+        cols, lo, hi, when = self.step_cols[live], self.lo[live], self.hi[live], when[live]
+        swap = None
+        if len(swaps):
+            cols = np.concatenate((cols, el[swaps]))
+            lo = np.concatenate((lo, cap_before))
+            hi = np.concatenate((hi, np.zeros(swaps.size)))
+            swap = np.concatenate((np.full(live.size, -1), swaps))
+            when = np.concatenate((when, swap_at[swaps]))
         order = np.argsort(when, kind="stable")
         after = self._sweep(
-            np.concatenate((self.step_cols[live], el[swaps]))[order],
-            np.concatenate((self.lo[live], cap_before[swaps]))[order],
-            np.concatenate((self.hi[live], np.zeros(swaps.size)))[order],
-            np.concatenate((np.full(live.size, -1), swaps))[order],
-            periods,
-            supply,
+            cols[order], lo[order], hi[order], None if swap is None else swap[order],
+            periods, supply,
         )
         before = two_period_supply_cost(self.base_peak, self.base_offpeak, periods, supply)
         after = np.concatenate(([before @ self.probs], after))
@@ -140,8 +156,9 @@ class _StepEvents:
     def _sweep(self, cols, lo, hi, swap, periods, supply) -> np.ndarray:
         """Total cost after each event, applied in order. A step moves the
         charge by min(hi, d_w) - min(lo, d_w) and the swap of elastic entity
-        k (swap = k, else -1) also moves its shifted load. Cumulative sums
-        run in blocks of _CURVE_BLOCK events, so memory is O(block x W)."""
+        k (swap = k, else -1; swap is None when no event swaps) also moves
+        its shifted load. Cumulative sums run in blocks of _CURVE_BLOCK
+        events, so memory is O(block x W)."""
         probs = self.probs
         out = np.empty(cols.size)
         peak, off, linear = self.base_peak, self.base_offpeak, 0.0
@@ -150,10 +167,12 @@ class _StepEvents:
             c, a, b = cols[sl], lo[sl], hi[sl]
             demand = self.demand_rows[c]
             d_off = np.minimum(b[:, None], demand) - np.minimum(a[:, None], demand)
-            lin = self.investment[c] * (b - a) + self.degradation[c] * (d_off @ probs)
+            lin = self.investment[c] * (b - a)
+            if self.degrades:
+                lin += self.degradation[c] * (d_off @ probs)
             d_peak = d_off * -self.loss[c][:, None]
-            rows = np.flatnonzero(swap[sl] >= 0)
-            if rows.size:
+            if swap is not None:
+                rows = np.flatnonzero(swap[sl] >= 0)
                 k = swap[sl][rows]
                 shifted = self.shifted_rows[k]
                 d_peak[rows] -= shifted

@@ -87,6 +87,19 @@ def test_ingest_real_shaped_loads_in_kwh_with_solar(tmp_path):
     ]
 
 
+def test_ingest_refuses_a_load_file_that_is_not_utf8(tmp_path, capsys):
+    loads = tmp_path / "loads.csv"
+    header = "day,entity," + ",".join(f"h{i}" for i in range(24))
+    loads.write_bytes((header + "\nd\xed,a," + ",".join(["1.0"] * 24) + "\n").encode("latin-1"))
+    cfg = write_config(tmp_path, {"data": {"loads_csv": str(loads)}})
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"invalid input: {loads}:2: load csv is not UTF-8 text\n", err
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert (meta["command"], meta["exit_status"], meta["outputs"]) == ("ingest", 2, [])
+
+
 def test_result_tables_write_python_and_numpy_floats_as_their_repr(tmp_path):
     values = [0.1, 1 / 3, 1e300, 5e-324, -0.0, 7.0]
     path = tmp_path / "rows.csv"

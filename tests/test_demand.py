@@ -478,6 +478,15 @@ def test_load_table_csv_error_names_the_physical_line(tmp_path):
     path.write_text("\n".join([header, quoted, second, third.replace("1.0", "x", 1)]) + "\n")
     with pytest.raises(InputError, match=re.escape(f"{path}:5: non-numeric hourly value")):
         HourlyLoadTable.from_csv(path)
+    # a Latin-1 day in the header read's first buffer (2 rows) and past it
+    # (201 rows, where the row parser meets it), with \n or bare \r endings
+    for n_rows, ending in [(2, "\n"), (201, "\n"), (2, "\r"), (201, "\r")]:
+        good = [f"d{k}" + first[2:] for k in range(n_rows - 1)]
+        text = ending.join([header, *good, "d\xed" + first[2:]]) + ending
+        path.write_bytes(text.encode("latin-1"))
+        assert n_rows == 2 or text.index("\xed") > io.DEFAULT_BUFFER_SIZE
+        with pytest.raises(InputError, match=re.escape(f"{path}:{n_rows + 1}: load csv is not UTF-8")):
+            HourlyLoadTable.from_csv(path)
 
 
 LOAD_HEADER = ["day", "entity"] + [f"h{i}" for i in range(24)] + [f"s{i}" for i in range(24)]

@@ -711,12 +711,17 @@ def _engine_case(name, rng):
         # more step events than one sweep block holds
         scen = random_scenarios(rng, 40, 30)
         return scen, random_specs(rng, scen.entities), None
+    if name == "several_blocks_elastic":
+        # 26 elastic entities among 40: swaps land past the first sweep block
+        scen = random_scenarios(rng, 40, 30)
+        return scen, _mixed_elastic(rng, scen.entities, 0.35), None
     raise ValueError(name)
 
 
 ENGINE_CASES = [
     "lossless", "lossy_degrading", "elastic", "elastic_lossy", "elastic_per_entity",
     "duplicate_outcomes", "one_outcome", "one_entity", "huge_theta", "several_blocks",
+    "several_blocks_elastic",
 ]
 
 
@@ -804,6 +809,57 @@ def test_event_sweep_equals_reference_curve_on_any_grid(name):
                 social_cost_curve(scen, specs, HALF_DAY, SUPPLY, pds, p_o),
                 rtol=1e-12, atol=0.0,
             )
+
+
+@pytest.mark.parametrize("name", ENGINE_CASES)
+def test_step_events_are_one_per_outcome_and_column(name):
+    # a column per entity and one more per elastic entity's residual
+    for seed in range(3):
+        scen, specs, _ = _engine_case(name, np.random.default_rng(seed))
+        events = _StepEvents(scen, specs)
+        n_elastic = sum(specs[e].e_shift is not None for e in scen.entities)
+        size = scen.n_outcomes * (scen.n_entities + n_elastic)
+        assert (events.lo.size, events.hi.size, events.thresholds.size) == (size,) * 3
+
+
+def test_type_scan_candidates_do_not_grow_with_users():
+    # K types of lossless storage over W Dirichlet outcomes: K*W rungs, one
+    # activation price per type and zero, whatever the number of users N
+    n_types, n_outcomes = 4, 12
+    type_specs = {f"t{k}": StorageSpec(theta=0.5 + k) for k in range(n_types)}
+    for n_users in (4, 32, 256):
+        rng = np.random.default_rng(n_users)
+        users = random_scenarios(rng, n_users, n_outcomes)
+        users = ScenarioSet(users.entities, rng.dirichlet(np.ones(n_outcomes)), users.peak, users.offpeak)
+        grouping = {e: f"t{j % n_types}" for j, e in enumerate(users.entities)}
+        types = aggregate_by_type(users, grouping)
+        result = optimize_price_difference(types, type_specs, users, grouping, HALF_DAY, SUPPLY)
+        assert result.n_thresholds == n_types * n_outcomes + n_types + 1
+        assert result.n_candidates <= n_types * n_outcomes + 1
+        assert len(result.responses) == n_users
+
+
+def test_event_sweep_carries_elastic_swaps_across_sweep_blocks(monkeypatch):
+    # At 1,024 events a block, several_blocks_elastic applies its swaps in
+    # the first block; blocks of 64 put them in later blocks too.
+    monkeypatch.setattr("toudesign.scan._CURVE_BLOCK", 64)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        scen, specs, _ = _engine_case("several_blocks_elastic", rng)
+        events = _StepEvents(scen, specs)
+        swap_rows = []
+        sweep = events._sweep
+        def spy(cols, lo, hi, swap, *args):
+            swap_rows.extend(np.flatnonzero(swap >= 0).tolist())
+            return sweep(cols, lo, hi, swap, *args)
+        events._sweep = spy
+        pds = _exact_grid(events, 0.0, rng)
+        np.testing.assert_allclose(
+            events.costs(pds, 0.0, HALF_DAY, SUPPLY),
+            social_cost_curve(scen, specs, HALF_DAY, SUPPLY, pds, 0.0),
+            rtol=1e-12, atol=0.0,
+        )
+        assert max(swap_rows) >= 64
 
 
 def test_event_sweep_steps_fired_below_the_shift_cost():
