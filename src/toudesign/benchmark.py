@@ -48,6 +48,8 @@ from .scan import _sorted_columns
 ORDERING_TOL = 1e-9
 # A null-space direction below this fraction of the gradient is rounding.
 NULL_SPACE_RTOL = 1e-9
+# Machine epsilon, read once rather than through np.finfo on every basis.
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -320,7 +322,10 @@ class _PlanModel:
         model is exact, and is also tried as far as the kinks allow (to t = 1
         for the Newton step), past outcomes' targets, where it holds nearly.
         The objective change of each is summed exactly, and the better is kept
-        if the objective falls.
+        if the objective falls. When the range basis keeps every block user, M
+        is nonsingular and its null space is zero, so the first move is
+        skipped; when every outcome is short, none has spare headroom to bound
+        how far a falling capacity may go, so that bound is skipped too.
         """
         peak, probs, curvature = self.scenarios.peak, self.scenarios.probs, self.curvature
         users = None
@@ -329,6 +334,9 @@ class _PlanModel:
                 margin = self.slope0 + curvature * self.headroom(capacities)
                 grad_right, grad_left, above, at = self.one_sided(margin, capacities)
                 short = margin < 0.0
+                every_short = bool(short.all())
+                if every_short:
+                    short = slice(None)
                 rows, above, at = peak[short], above[short], at[short]
                 kinked = (capacities == 0.0) | at.any(axis=0)
                 up = kinked & (grad_right < 0.0)
@@ -346,6 +354,8 @@ class _PlanModel:
                 hi = np.where(down, c, np.where(sub > c, sub, np.inf).min(axis=0, initial=np.inf))
                 basis = _range_basis(scaled)
             if null_space:
+                if basis[1].size == users.size:
+                    continue  # M is nonsingular: its null space holds only zero
                 step = _null_space_step(scaled, grads, up, down, basis)
             else:
                 step = _newton_step(scaled, grads, lo - c, hi - c, basis)
@@ -354,17 +364,17 @@ class _PlanModel:
             # Short outcomes gain headroom at their exact rate; the others can
             # lose at most the falling capacities that may drop below demand.
             rate = pattern @ step
-            drop = (peak[~short][:, users] > lo) @ np.minimum(step, 0.0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 far = min(
                     np.inf if null_space else 1.0,
                     np.where(step > 0.0, (hi - c) / step, np.inf).min(),
                     np.where(step < 0.0, (lo - c) / step, np.inf).min(),
                 )
-                reach = np.concatenate((
-                    np.where(rate > 0.0, -margin[short] / (curvature * rate), np.inf),
-                    np.where(drop < 0.0, -margin[~short] / (curvature * drop), np.inf),
-                ))
+                reach = np.where(rate > 0.0, -margin[short] / (curvature * rate), np.inf)
+                if not every_short:
+                    drop = (peak[~short][:, users] > lo) @ np.minimum(step, 0.0)
+                    spare = np.where(drop < 0.0, -margin[~short] / (curvature * drop), np.inf)
+                    reach = np.concatenate((reach, spare))
             t = min(far, reach.min())
             best = 0.0
             for length in (t, far) if far > t else (t,):
@@ -380,14 +390,27 @@ class _PlanModel:
                 users = None
         return capacities
 
-    def plan(self, capacities: np.ndarray, iterations: int, limit: float = math.nan) -> SocialPlan:
+    def plan(
+        self,
+        capacities: np.ndarray,
+        iterations: int,
+        limit: float = math.nan,
+        checked: tuple[np.ndarray, float] | None = None,
+    ) -> SocialPlan:
         """The plan of the given capacities, costed as lossless, non-degrading
         storage on inelastic demand, with their optimality residual and the
-        residual limit they were solved to."""
+        residual limit they were solved to.
+
+        checked is the capacities' headroom and residual where the caller has
+        just computed them (solve_so's final stop test); without it the plan
+        computes both from the capacities.
+        """
         scenarios = self.scenarios
-        headroom = self.headroom(capacities)
+        if checked is None:
+            headroom = self.headroom(capacities)
+            checked = headroom, float(self.violations(capacities, headroom).max(initial=0.0))
+        headroom, residual = checked
         charges = _greedy_charges(capacities, scenarios.peak, np.clip(self.targets, 0.0, headroom))
-        residual = float(self.violations(capacities, headroom).max(initial=0.0))
         ones, zeros = np.ones_like(self.thetas), np.zeros_like(self.thetas)
         lossless = _SpecArrays(self.thetas, ones, ones, zeros, zeros, zeros + np.nan)
         breakdown = _social_cost_arrays(
@@ -413,10 +436,10 @@ def _range_basis(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if scaled.shape[0] < scaled.shape[1]:
         lam, u = np.linalg.eigh(scaled @ scaled.T)
-        keep = lam > lam[-1:] * scaled.shape[1] * np.finfo(float).eps
+        keep = lam > lam[-1:] * scaled.shape[1] * EPS
         return (u[:, keep].T @ scaled) / np.sqrt(lam[keep])[:, None], lam[keep]
     lam, v = np.linalg.eigh(scaled.T @ scaled)
-    keep = lam > lam[-1:] * scaled.shape[1] * np.finfo(float).eps
+    keep = lam > lam[-1:] * scaled.shape[1] * EPS
     return v[:, keep].T, lam[keep]
 
 
@@ -452,8 +475,11 @@ def _newton_step(
     step = np.zeros_like(grad)
     free = np.ones(grad.size, dtype=bool)
     while free.any():
-        vt, lam = basis if free.all() else _range_basis(scaled[:, free])
-        g = grad[free] + scaled[:, free].T @ (scaled[:, ~free] @ step[~free])
+        if free.all():
+            (vt, lam), g = basis, grad
+        else:
+            vt, lam = _range_basis(scaled[:, free])
+            g = grad[free] + scaled[:, free].T @ (scaled[:, ~free] @ step[~free])
         step[free] = -(vt.T @ ((vt @ g) / lam))
         out = free & ((step < room_down) | (step > room_up))
         if not out.any():
@@ -486,12 +512,13 @@ def solve_so(
     step. The sweep ends with exact Newton moves on the free and violated
     kinked users (newton_moves), which move the coupled users that
     coordinate steps would zig-zag between jointly towards their minimum.
-    The returned plan carries the optimality residual of its final
-    capacities (the one the stop test saw), the limit it met and the number
+    The returned plan carries the headroom and optimality residual that the
+    stop test computed on its capacities, the limit it met and the number
     of sweeps; its cost is summed on the capacity and charge arrays
     (_social_cost_arrays), with no per-user spec or profile. Raises
     ConvergenceError carrying the best incumbent if the residual is above
-    the limit after max_iterations sweeps.
+    the limit after max_iterations sweeps; that plan computes its headroom
+    and residual afresh, since the last sweep moved its capacities.
 
     The planner sees only each user's storage cost theta: it sizes lossless,
     non-degrading storage on inelastic demand, whatever the efficiency,
@@ -507,8 +534,9 @@ def solve_so(
     for sweeps in range(1, settings.max_iterations + 1):
         total = model.headroom(capacities)
         violations = model.violations(capacities, total)
-        if violations.max() <= limit:
-            break
+        residual = float(violations.max(initial=0.0))
+        if residual <= limit:
+            return model.plan(capacities, sweeps, limit, (total, residual))
         # One row per user: its share min(c_i, d_wi) of headroom.
         bound = np.minimum(capacities[:, None], demand)
         for i in np.flatnonzero(violations > 0.0).tolist():

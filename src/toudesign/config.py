@@ -22,6 +22,7 @@ accepted and change nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from functools import cache
 from typing import Any, Mapping, get_args, get_origin, get_type_hints
@@ -69,6 +70,35 @@ def _fits(value, tp) -> bool:
     return any(_fits(value, a) for a in args)  # a union
 
 
+def _float_text(value, tp) -> str | None:
+    """The first string within a value as loaded that float() reads as a
+    finite number where `tp` takes a float. PyYAML's YAML 1.1 resolver reads
+    a float only with a decimal point and a signed exponent, so 1e-12 and
+    1.0e12 arrive as text."""
+    if tp is float:
+        try:
+            return value if isinstance(value, str) and math.isfinite(float(value)) else None
+        except ValueError:
+            return None
+    args = get_args(tp)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            return None
+        types = args[:1] * len(value) if args[-1] is Ellipsis else args
+        found = map(_float_text, value, types) if len(value) == len(types) else ()
+    else:
+        found = (_float_text(value, a) for a in args)
+    return next((text for text in found if text is not None), None)
+
+
+def _as_float(text: str) -> str:
+    """text written so that YAML 1.1 reads it as a float: 1e-12 as 1.0e-12."""
+    mantissa, e, exponent = text.strip().lower().partition("e")
+    if "." not in mantissa:
+        mantissa += ".0"
+    return mantissa + e + ("+" + exponent if exponent[:1].isdigit() else exponent)
+
+
 def _load(base, raw, where: str | None = None):
     """`base` with the fields read from a YAML mapping replaced; a field whose
     value in `base` is a dataclass is a section, loaded from its own mapping
@@ -88,8 +118,10 @@ def _load(base, raw, where: str | None = None):
         default = getattr(base, f.name)
         if is_dataclass(default):
             value = _load(default, value, key)
-        elif not _fits(value, _type_hints(type(base))[f.name]):
-            raise InputError(f"{key} must be {f.type}, got {value!r}")
+        elif not _fits(value, tp := _type_hints(type(base))[f.name]):
+            text = _float_text(value, tp)
+            hint = f": YAML read {text} as text, write {_as_float(text)}" if text else ""
+            raise InputError(f"{key} must be {f.type}, got {value!r}{hint}")
         changes[f.name] = tuple(value) if isinstance(value, list) else value
     try:
         return replace(base, **changes)

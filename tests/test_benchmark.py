@@ -36,6 +36,7 @@ from toudesign import oracles as oracles_module
 from toudesign.benchmark import (
     _greedy_charges,
     _newton_step,
+    _null_space_step,
     _PlanModel,
     _shift_targets,
     _range_basis,
@@ -187,8 +188,14 @@ def test_solver_reports_non_convergence(monkeypatch):
     settings = SolverSettings(tolerance=1e-16, max_iterations=1)
     with pytest.raises(ConvergenceError) as err:
         solve_so(scen, thetas, periods, supply, settings)
-    assert isinstance(err.value.best, SocialPlan)
-    assert err.value.best.optimality_residual > err.value.best.residual_limit
+    best = err.value.best
+    assert isinstance(best, SocialPlan)
+    assert best.optimality_residual > best.residual_limit
+    # The last sweep moved the capacities after the final stop test, so the
+    # plan's residual is recomputed from them.
+    caps = np.array([best.capacities[e] for e in scen.entities])
+    again = _PlanModel.of(scen, thetas, periods, supply).plan(caps, best.iterations)
+    assert best.optimality_residual == again.optimality_residual
 
 
 @pytest.mark.parametrize("bad", [None, 0.0, -0.5, np.nan, np.inf])
@@ -369,6 +376,7 @@ def test_plan_is_costed_as_its_profiles_are(monkeypatch):
             break
         assert_plan_costed_as_profiles(scen, thetas, HALF_DAY, supply)
     assert_plan_costed_as_profiles(*perfbench_instance(monkeypatch, 7, 256, 30))
+    assert_plan_costed_as_profiles(*perfbench_instance(monkeypatch, 100, 32, 30))
 
 
 def test_solves_never_cost_through_the_profile_front(monkeypatch, quadratic_supply):
@@ -985,6 +993,30 @@ def test_newton_moves_never_raise_the_objective(quadratic_supply):
         moved = model.newton_moves(capacities.copy())
         assert np.all(moved >= 0.0)
         assert objective(moved) <= objective(capacities)
+
+
+def test_null_space_is_zero_on_every_block_the_basis_keeps_whole(monkeypatch):
+    # newton_moves skips the null-space move on a block whose range basis
+    # keeps every user: M is then nonsingular. Every such block met while
+    # solving must give a zero null-space step, even with no kinked user held.
+    # newton_moves hands _newton_step the block that the skipped move had.
+    blocks = {"whole": 0, "cut": 0}
+    newton_step = benchmark_module._newton_step
+
+    def checked(scaled, grad, room_down, room_up, basis):
+        if basis[1].size == grad.size:
+            blocks["whole"] += 1
+            unkinked = np.zeros(grad.size, dtype=bool)
+            assert not _null_space_step(scaled, grad, unkinked, unkinked, basis).any()
+        else:
+            blocks["cut"] += 1
+        return newton_step(scaled, grad, room_down, room_up, basis)
+
+    monkeypatch.setattr(benchmark_module, "_newton_step", checked)
+    for _, scen, thetas, supply in convergence_battery():
+        solve_so(scen, thetas, HALF_DAY, supply)
+    solve_so(*perfbench_instance(monkeypatch, 100, 32, 30))
+    assert blocks["whole"] > 0 and blocks["cut"] > 0, blocks
 
 
 def test_newton_moves_settle_identical_users_that_coordinate_steps_zig_zag():

@@ -454,6 +454,38 @@ def test_malformed_config_value_is_invalid_input(tmp_path, capsys, override, key
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "solver: {tolerance: 1e-12}",
+            "solver.tolerance must be float, got '1e-12': YAML read 1e-12 as text, write 1.0e-12",
+        ),
+        (
+            "sweeps: {theta_bar: [0.5, 2E1]}",
+            "sweeps.theta_bar must be tuple[float, ...], got [0.5, '2E1']: "
+            "YAML read 2E1 as text, write 2.0e+1",
+        ),
+        (
+            "pricing: {p_o_range: [0.0, 1.0e3]}",
+            "pricing.p_o_range must be tuple[float, float] | None, got [0.0, '1.0e3']: "
+            "YAML read 1.0e3 as text, write 1.0e+3",
+        ),
+        ("storage: {theta_bar: nan}", "storage.theta_bar must be float | None, got 'nan'"),
+        ("synthetic: {n_outcomes: '7'}", "synthetic.n_outcomes must be int, got '7'"),
+    ],
+)
+def test_a_float_yaml_reads_as_text_is_refused_with_how_to_write_it(tmp_path, capsys, text, message):
+    # PyYAML's YAML 1.1 resolver reads a float only with a decimal point and
+    # a signed exponent; the value stays refused, and the message says why.
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text + "\n")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
+    assert not (out / "run_meta.json").exists()
+
+
+@pytest.mark.parametrize(
     "section, key, value",
     [
         ("supply", "alpha", 0),
